@@ -64,19 +64,14 @@ bench-smoke:
 # recorded run over run:
 #  - BENCH_smoke.json: bytes + simulated α-β time per algorithm (the
 #    simulated machine's outputs); gitignored, artifact-only.
-#  - BENCH_scale.json: the host-side perf suite (wall clock + allocs per
-#    replay), compared against the committed pre-refactor baseline
-#    (BENCH_baseline.json, frozen — never regenerate it) by benchdiff —
-#    non-blocking, but >10% regressions fail loudly in the log. The
-#    committed copy is the paper-scale record; this target overwrites it
-#    with a small-scale run, so expect a dirty tree locally and re-commit
-#    only when refreshing the record (`-scale paper`).
-#  - BENCH_sched.json: the executor sweep (goroutines vs the discrete-
-#    event loop on the same COnfLUX replay, DESIGN.md §11), compared
-#    against the committed paper-scale record BENCH_events.json — the
-#    presets nest, so the small-scale rows overlap the record's.
-#    Regenerate the record itself with
-#    `confluxbench -exp sched -scale paper -json BENCH_events.json`.
+#  - BENCH_scale_run.json: the host-side perf suite (wall clock + allocs
+#    per replay) at small scale, compared against the committed
+#    pre-refactor baseline (BENCH_baseline.json, frozen — never regenerate
+#    it) by benchdiff — non-blocking, but >10% regressions fail loudly in
+#    the log. Like every run below it writes a *_run.json file, so the
+#    committed paper-scale record BENCH_scale.json is never overwritten;
+#    refresh that record deliberately with
+#    `confluxbench -exp perf -scale paper -json BENCH_scale.json`.
 #  - BENCH_topo_run.json: the topology sweep (replication depth × network
 #    model, DESIGN.md §14), compared against the committed small-scale
 #    record BENCH_topo.json. Every number in it is simulated, so benchdiff
@@ -93,10 +88,8 @@ bench-smoke:
 #    `confluxbench -exp kernels -json BENCH_kernels.json`.
 bench-json:
 	$(GO) run ./cmd/confluxbench -exp smoke -json BENCH_smoke.json
-	$(GO) run ./cmd/confluxbench -exp perf -scale small -json BENCH_scale.json
-	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_scale.json
-	$(GO) run ./cmd/confluxbench -exp sched -scale small -json BENCH_sched.json
-	$(GO) run ./cmd/benchdiff BENCH_events.json BENCH_sched.json
+	$(GO) run ./cmd/confluxbench -exp perf -scale small -json BENCH_scale_run.json
+	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_scale_run.json
 	$(GO) run ./cmd/confluxbench -exp topology -scale small -json BENCH_topo_run.json
 	$(GO) run ./cmd/benchdiff -exit BENCH_topo.json BENCH_topo_run.json
 	$(GO) run ./cmd/confluxbench -exp kernels -json BENCH_kernels_run.json

@@ -187,9 +187,8 @@ type Result struct {
 	// CommTime is the critical rank's pure transfer time (α+β·bytes work,
 	// excluding waits): Time = CommTime + critical-rank wait.
 	CommTime float64
-	// Executor is the resolved executor that ran the factorization
-	// ("goroutines" or "events"). Provenance only: both executors produce
-	// identical factors, volume, and simulated time.
+	// Executor is the run executor that ran the factorization (always
+	// "goroutines"). Provenance only.
 	Executor string
 	// SolveVolume is the communication report of the most recent
 	// distributed solve run on these factors (nil until one runs). Its

@@ -9,8 +9,8 @@ package conflux
 // for both scales are recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +31,7 @@ import (
 // smpiVolumeCholesky replays the 2.5D Cholesky schedule in volume mode.
 func smpiVolumeCholesky(n int, o Options) (*VolumeReport, error) {
 	opt := cholesky.DefaultOptions(n, o.Ranks, o.Memory)
-	return smpi.RunTimeout(o.Ranks, false, 10*time.Minute, func(c *smpi.Comm) error {
+	return smpi.Exec(context.Background(), smpi.Config{P: o.Ranks, Timeout: 10 * time.Minute}, func(c *smpi.Comm) error {
 		_, err := cholesky.Run(c, nil, opt)
 		return err
 	})
@@ -316,41 +316,6 @@ func BenchmarkSolveVolume(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEventExecutorParallel measures the event executor's
-// concurrent-window schedule against the serial baton schedule on the same
-// COnfLUX volume replay: workers=1 is the lock-free single-core baseline,
-// workers=NumCPU spreads one world's window across the host's cores
-// (identical to the baseline on a single-core host, minus the mailbox
-// locking overhead the window requires). Reports are bit-identical at
-// every width — these rows capture only the host-side cost, like
-// `confluxbench -exp sched -workers N` but without the full sweep.
-func BenchmarkEventExecutorParallel(b *testing.B) {
-	presets := []struct {
-		name string
-		n, p int
-	}{{"small", 256, 16}, {"medium", 1024, 64}}
-	widths := []int{1, runtime.NumCPU()}
-	if widths[1] == 1 {
-		widths = widths[:1]
-	}
-	for _, pr := range presets {
-		for _, w := range widths {
-			b.Run(fmt.Sprintf("%s/N=%d/P=%d/workers=%d", pr.name, pr.n, pr.p, w), func(b *testing.B) {
-				b.ReportAllocs()
-				savedEx, savedW := bench.Executor, bench.ExecWorkers
-				bench.Executor, bench.ExecWorkers = smpi.ExecEvents, w
-				defer func() { bench.Executor, bench.ExecWorkers = savedEx, savedW }()
-				mem := costmodel.MaxMemoryParams(pr.n, pr.p).M
-				for i := 0; i < b.N; i++ {
-					if _, err := bench.Measure(b.Context(), costmodel.COnfLUX, pr.n, pr.p, mem); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

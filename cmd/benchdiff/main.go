@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -80,7 +81,7 @@ func load(path string) (record, error) {
 // (scenario, engine, c) — must agree on bytes and makespan to the last
 // bit; the recorded optima must match wherever both sweeps cover the
 // scenario. Returns (drifted rows, shared rows).
-func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
+func diffTopo(out io.Writer, oldRep, newRep *bench.TopoReport) (int, int) {
 	type rowKey struct {
 		scenario string
 		algo     string
@@ -90,7 +91,7 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 	for _, r := range oldRep.Rows {
 		oldRows[rowKey{r.Scenario, string(r.Algo), r.C}] = r
 	}
-	fmt.Printf("%-22s %-8s %-3s %14s %14s\n", "scenario", "engine", "c", "bytes", "makespan")
+	fmt.Fprintf(out, "%-22s %-8s %-3s %14s %14s\n", "scenario", "engine", "c", "bytes", "makespan")
 	drift, compared := 0, 0
 	for _, r := range newRep.Rows {
 		o, ok := oldRows[rowKey{r.Scenario, string(r.Algo), r.C}]
@@ -103,7 +104,7 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 			mark = fmt.Sprintf("  <<< REGRESSION: determinism (was %d bytes, %.17gs)", o.Bytes, o.Makespan)
 			drift++
 		}
-		fmt.Printf("%-22s %-8s %-3d %14d %14.6e%s\n", r.Scenario, r.Algo, r.C, r.Bytes, r.Makespan, mark)
+		fmt.Fprintf(out, "%-22s %-8s %-3d %14d %14.6e%s\n", r.Scenario, r.Algo, r.C, r.Bytes, r.Makespan, mark)
 	}
 	for name, o := range oldRep.Optima {
 		n, ok := newRep.Optima[name]
@@ -111,7 +112,7 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 			continue
 		}
 		if o != n {
-			fmt.Printf("optimum %-22s moved: %s c=%d -> %s c=%d  <<< REGRESSION: optimum\n",
+			fmt.Fprintf(out, "optimum %-22s moved: %s c=%d -> %s c=%d  <<< REGRESSION: optimum\n",
 				name, o.Algo, o.C, n.Algo, n.C)
 			drift++
 		}
@@ -127,14 +128,14 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 // taken on hosts with different ISAs (asm vs generic micro-kernel) are
 // compared with rows only; the speedup floor still applies, since the
 // acceptance bar is host-relative.
-func diffKernels(oldRep, newRep *bench.KernelReport, threshold float64) (int, int) {
-	fmt.Printf("benchdiff kernel records (isa %s -> %s), regression threshold %.0f%%\n",
+func diffKernels(out io.Writer, oldRep, newRep *bench.KernelReport, threshold float64) (int, int) {
+	fmt.Fprintf(out, "benchdiff kernel records (isa %s -> %s), regression threshold %.0f%%\n",
 		oldRep.ISA, newRep.ISA, threshold)
 	oldByName := map[string]bench.KernelRow{}
 	for _, r := range oldRep.Rows {
 		oldByName[r.Name] = r
 	}
-	fmt.Printf("%-36s %14s %14s %8s %12s\n", "case", "old", "new", "Δtime", "MFLOP/s")
+	fmt.Fprintf(out, "%-36s %14s %14s %8s %12s\n", "case", "old", "new", "Δtime", "MFLOP/s")
 	regressions, compared := 0, 0
 	for _, r := range newRep.Rows {
 		o, ok := oldByName[r.Name]
@@ -148,13 +149,13 @@ func diffKernels(oldRep, newRep *bench.KernelReport, threshold float64) (int, in
 			mark = "  <<< REGRESSION: time"
 			regressions++
 		}
-		fmt.Printf("%-36s %14s %14s %+7.1f%% %12.0f%s\n",
+		fmt.Fprintf(out, "%-36s %14s %14s %+7.1f%% %12.0f%s\n",
 			r.Name, time.Duration(o.NsPerOp), time.Duration(r.NsPerOp), dt, r.MFlops, mark)
 	}
-	fmt.Printf("speedup at 512x512: %.2fx -> %.2fx (floor %.1fx)\n",
+	fmt.Fprintf(out, "speedup at 512x512: %.2fx -> %.2fx (floor %.1fx)\n",
 		oldRep.Speedup512, newRep.Speedup512, bench.MinGemmSpeedup512)
 	if newRep.Speedup512 < bench.MinGemmSpeedup512 {
-		fmt.Printf("  <<< REGRESSION: blocked GEMM speedup below the %.1fx acceptance floor\n",
+		fmt.Fprintf(out, "  <<< REGRESSION: blocked GEMM speedup below the %.1fx acceptance floor\n",
 			bench.MinGemmSpeedup512)
 		regressions++
 	}
@@ -168,73 +169,16 @@ func pct(old, new int64) float64 {
 	return 100 * (float64(new) - float64(old)) / float64(old)
 }
 
-func main() {
-	threshold := flag.Float64("threshold", 10, "flag regressions beyond this percentage")
-	minAllocs := flag.Uint64("minallocs", 10_000, "ignore allocation regressions below this many allocs/op (relative noise on near-zero counts)")
-	hardExit := flag.Bool("exit", false, "exit non-zero when a time regression exceeds the threshold")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-exit] OLD.json NEW.json")
-		os.Exit(2)
-	}
-	oldRec, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	newRec, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if oldRec.topo != nil || newRec.topo != nil {
-		if oldRec.topo == nil || newRec.topo == nil {
-			fmt.Fprintln(os.Stderr, "benchdiff: cannot compare a topology record with a perf record")
-			os.Exit(2)
-		}
-		fmt.Printf("benchdiff %s (%s) -> %s (%s), topology records: exact comparison\n",
-			flag.Arg(0), oldRec.topo.Scale, flag.Arg(1), newRec.topo.Scale)
-		drift, compared := diffTopo(oldRec.topo, newRec.topo)
-		if compared == 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: the two records share no cases")
-			os.Exit(2)
-		}
-		if drift > 0 {
-			fmt.Fprintf(os.Stderr, "\nbenchdiff: %d topology row(s) drifted — simulated results are deterministic, so this is a real change\n", drift)
-			if *hardExit {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if oldRec.kern != nil || newRec.kern != nil {
-		if oldRec.kern == nil || newRec.kern == nil {
-			fmt.Fprintln(os.Stderr, "benchdiff: cannot compare a kernels record with a different kind")
-			os.Exit(2)
-		}
-		regressions, compared := diffKernels(oldRec.kern, newRec.kern, *threshold)
-		if compared == 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: the two records share no cases")
-			os.Exit(2)
-		}
-		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "\nbenchdiff: %d kernel case(s) regressed — the level-3 kernels are a conformance prerequisite, inspect before merging\n", regressions)
-			if *hardExit {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	oldRep, newRep := oldRec.perf, newRec.perf
+// diffPerf compares two perf-suite records: time and allocation deltas of
+// the shared cases, flagged beyond the threshold (allocations only above
+// minAllocs per op). Returns (regressed rows, shared rows).
+func diffPerf(out io.Writer, oldRep, newRep *bench.PerfReport, threshold float64, minAllocs uint64) (int, int) {
 	oldByName := map[string]bench.PerfMeasurement{}
 	for _, m := range oldRep.Results {
 		oldByName[m.Name] = m
 	}
-	fmt.Printf("benchdiff %s (%s) -> %s (%s), regression threshold %.0f%%\n",
-		flag.Arg(0), oldRep.Scale, flag.Arg(1), newRep.Scale, *threshold)
-	fmt.Printf("%-44s %14s %14s %8s %10s %8s\n", "case", "old", "new", "Δtime", "Δallocs", "Δbytes")
-	regressions := 0
-	compared := 0
+	fmt.Fprintf(out, "%-44s %14s %14s %8s %10s %8s\n", "case", "old", "new", "Δtime", "Δallocs", "Δbytes")
+	regressions, compared := 0, 0
 	for _, m := range newRep.Results {
 		o, ok := oldByName[m.Name]
 		if !ok {
@@ -245,25 +189,85 @@ func main() {
 		da := pct(int64(o.AllocsPerOp), int64(m.AllocsPerOp))
 		db := pct(int64(o.BytesPerOp), int64(m.BytesPerOp))
 		mark := ""
-		if dt > *threshold {
+		if dt > threshold {
 			mark = "  <<< REGRESSION: time"
 			regressions++
-		} else if da > *threshold && m.AllocsPerOp >= *minAllocs {
+		} else if da > threshold && m.AllocsPerOp >= minAllocs {
 			mark = "  <<< REGRESSION: allocs"
 			regressions++
 		}
-		fmt.Printf("%-44s %14s %14s %+7.1f%% %+9.1f%% %+7.1f%%%s\n",
+		fmt.Fprintf(out, "%-44s %14s %14s %+7.1f%% %+9.1f%% %+7.1f%%%s\n",
 			m.Name, time.Duration(o.NsPerOp), time.Duration(m.NsPerOp), dt, da, db, mark)
 	}
+	return regressions, compared
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is benchdiff with its arguments and output streams explicit, so the
+// comparison and exit-status rules are testable. It returns the exit
+// status: 0 clean (or regressions without -exit), 1 regressions under
+// -exit, 2 usage or input errors, including records that share no case.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 10, "flag regressions beyond this percentage")
+	minAllocs := fs.Uint64("minallocs", 10_000, "ignore allocation regressions below this many allocs/op (relative noise on near-zero counts)")
+	hardExit := fs.Bool("exit", false, "exit non-zero when a time regression exceeds the threshold")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [-threshold pct] [-exit] OLD.json NEW.json")
+		return 2
+	}
+	oldPath, newPath := fs.Arg(0), fs.Arg(1)
+	oldRec, err := load(oldPath)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	newRec, err := load(newPath)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	var regressions, compared int
+	var verdict string
+	switch {
+	case oldRec.topo != nil || newRec.topo != nil:
+		if oldRec.topo == nil || newRec.topo == nil {
+			fmt.Fprintln(stderr, "benchdiff: cannot compare a topology record with a perf record")
+			return 2
+		}
+		fmt.Fprintf(stdout, "benchdiff %s (%s) -> %s (%s), topology records: exact comparison\n",
+			oldPath, oldRec.topo.Scale, newPath, newRec.topo.Scale)
+		regressions, compared = diffTopo(stdout, oldRec.topo, newRec.topo)
+		verdict = "topology row(s) drifted — simulated results are deterministic, so this is a real change"
+	case oldRec.kern != nil || newRec.kern != nil:
+		if oldRec.kern == nil || newRec.kern == nil {
+			fmt.Fprintln(stderr, "benchdiff: cannot compare a kernels record with a different kind")
+			return 2
+		}
+		regressions, compared = diffKernels(stdout, oldRec.kern, newRec.kern, *threshold)
+		verdict = "kernel case(s) regressed — the level-3 kernels are a conformance prerequisite, inspect before merging"
+	default:
+		fmt.Fprintf(stdout, "benchdiff %s (%s) -> %s (%s), regression threshold %.0f%%\n",
+			oldPath, oldRec.perf.Scale, newPath, newRec.perf.Scale, *threshold)
+		regressions, compared = diffPerf(stdout, oldRec.perf, newRec.perf, *threshold, *minAllocs)
+		verdict = fmt.Sprintf("case(s) regressed more than %.0f%% — inspect before merging", *threshold)
+	}
 	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: the two records share no cases")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff: the two records share no cases")
+		return 2
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "\nbenchdiff: %d case(s) regressed more than %.0f%% — inspect before merging\n",
-			regressions, *threshold)
+		fmt.Fprintf(stderr, "\nbenchdiff: %d %s\n", regressions, verdict)
 		if *hardExit {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }

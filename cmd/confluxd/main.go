@@ -4,8 +4,8 @@
 // (ROADMAP item 2 — the "millions of users" serving story).
 //
 // Because every simulation is a pure function of the canonical parameter
-// tuple (reports are pinned byte-identical across reps, executors, and
-// event-window widths), results are infinitely cacheable: requests are
+// tuple (reports are pinned byte-identical across reps), results are
+// infinitely cacheable: requests are
 // canonicalized into deterministic keys (internal/plan), answered from a
 // sharded in-memory cache with singleflight coalescing, and load-shed with
 // typed 429/503 + Retry-After once the bounded simulation pool and its

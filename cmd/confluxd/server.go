@@ -121,9 +121,9 @@ type planResponse struct {
 	Request    plan.Request `json:"request"`
 	Objective  string       `json:"objective"`
 	Candidates []candidate  `json:"candidates"`
-	// Best names the winning engine under the objective, using exact
-	// results where present and model predictions otherwise (Source says
-	// which).
+	// Best names the winning engine under the objective, ranked within
+	// one tier: exact results when every candidate has one, model
+	// predictions otherwise (Source says which; see pickBest).
 	Best struct {
 		Algorithm conflux.Algorithm `json:"algorithm"`
 		Source    string            `json:"source"`
@@ -341,24 +341,38 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// pickBest selects the winner under the objective, preferring exact
-// results and falling back to model predictions per candidate.
+// pickBest selects the winner under the objective within one tier: the
+// exact simulated results when every candidate has one, otherwise the
+// model predictions of every candidate that has a model. The tiers must
+// not be mixed — the model tier runs 15–70× below simulation, so a partly
+// answered panel (a shed or still-pending candidate) would crown whichever
+// candidate is still model-only.
 func (s *server) pickBest(resp *planResponse) {
+	exact := len(resp.Candidates) > 0
+	for _, c := range resp.Candidates {
+		if c.Exact == nil {
+			exact = false
+			break
+		}
+	}
+	src := "model"
+	if exact {
+		src = "exact"
+	}
 	bestSet := false
 	for _, c := range resp.Candidates {
 		var v float64
-		var src string
 		switch {
-		case c.Exact != nil && resp.Objective == "time":
-			v, src = c.Exact.Makespan, "exact"
-		case c.Exact != nil:
-			v, src = float64(c.Exact.AlgorithmBytes), "exact"
-		case c.Model != nil && resp.Objective == "time":
-			v, src = c.Model.PredictedSeconds, "model"
-		case c.Model != nil:
-			v, src = c.Model.TotalBytes, "model"
-		default:
+		case exact && resp.Objective == "time":
+			v = c.Exact.Makespan
+		case exact:
+			v = float64(c.Exact.AlgorithmBytes)
+		case c.Model == nil:
 			continue
+		case resp.Objective == "time":
+			v = c.Model.PredictedSeconds
+		default:
+			v = c.Model.TotalBytes
 		}
 		if !bestSet || v < resp.Best.Value {
 			bestSet = true

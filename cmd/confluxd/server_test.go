@@ -13,6 +13,7 @@ import (
 	"time"
 
 	conflux "repro"
+	"repro/internal/costmodel"
 	"repro/internal/plan"
 )
 
@@ -231,6 +232,127 @@ func TestPlanBestSelection(t *testing.T) {
 	if resp.Best.Algorithm != minAlgo || resp.Best.Source != "exact" || resp.Best.Value != minVal {
 		t.Fatalf("best = %+v, want %s/exact/%v", resp.Best, minAlgo, minVal)
 	}
+}
+
+// modelRanking returns the Table 2 engine with the largest model-tier
+// bytes at (n, p) on the default machine — the candidate whose missing
+// exact answer exposes a tier-mixing best pick — and the model winner.
+func modelRanking(t *testing.T, n, p int) (worst, best conflux.Algorithm) {
+	t.Helper()
+	m := conflux.DefaultMachine()
+	lo, hi := 0.0, 0.0
+	for _, a := range costmodel.Algorithms {
+		req, err := plan.Request{Algorithm: a, N: n, P: p, Alpha: m.Alpha, Beta: m.Beta}.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, ok := plan.ModelFor(req)
+		if !ok {
+			t.Fatalf("%s has no model tier", a)
+		}
+		if worst == "" || mod.TotalBytes > hi {
+			worst, hi = a, mod.TotalBytes
+		}
+		if best == "" || mod.TotalBytes < lo {
+			best, lo = a, mod.TotalBytes
+		}
+	}
+	if worst == best {
+		t.Fatalf("model tier does not separate the engines at n=%d p=%d", n, p)
+	}
+	return worst, best
+}
+
+// requireModelBest asserts a partly answered panel was ranked on the
+// model tier alone: the winner is the model argmin over every candidate,
+// not the model-only straggler a mixed-tier comparison would crown.
+func requireModelBest(t *testing.T, body []byte, straggler, want conflux.Algorithm, status string) {
+	t.Helper()
+	var resp planResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	exact := 0
+	for _, c := range resp.Candidates {
+		if c.Algorithm == straggler {
+			if c.Exact != nil || c.ExactStatus != status {
+				t.Fatalf("straggler %s: exact %v status %q, want %q: %s", c.Algorithm, c.Exact, c.ExactStatus, status, body)
+			}
+		} else if c.Exact != nil {
+			exact++
+		}
+	}
+	if exact == 0 {
+		t.Fatalf("panel has no exact candidate, so it is not partly answered: %s", body)
+	}
+	if resp.Best.Algorithm != want || resp.Best.Source != "model" {
+		t.Fatalf("best = %+v, want %s from the model tier (straggler %s): %s", resp.Best, want, straggler, body)
+	}
+}
+
+// hugeExact is an injected exact answer far above any model prediction,
+// as real simulations are (the model tier runs 15–70x low).
+var hugeExact = plan.Exact{TotalBytes: 1 << 60, AlgorithmBytes: 1 << 60, Makespan: 1e9}
+
+// TestPlanBestPendingCandidate: one candidate still simulating when the
+// wait budget expires must not win on its model prediction against the
+// exact answers of the others — best is ranked on the model tier.
+func TestPlanBestPendingCandidate(t *testing.T) {
+	const n, p = 128, 4
+	straggler, want := modelRanking(t, n, p)
+	runner := func(ctx context.Context, req plan.Request) (*plan.Exact, error) {
+		if req.Algorithm == straggler {
+			<-ctx.Done() // still simulating when the response is written
+			return nil, ctx.Err()
+		}
+		e := hugeExact
+		return &e, nil
+	}
+	_, ts := testServer(t, runner, nil)
+	status, _, body := get(t, fmt.Sprintf("%s/v1/plan?n=%d&p=%d&wait=200ms", ts.URL, n, p))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	requireModelBest(t, body, straggler, want, string(plan.OutcomePending))
+}
+
+// TestPlanBestShedCandidate: one candidate shed at admission (the only
+// simulation slot is busy) while the others are cache hits must not win
+// on its model prediction either.
+func TestPlanBestShedCandidate(t *testing.T) {
+	const n, p = 128, 4
+	straggler, want := modelRanking(t, n, p)
+	runner := func(ctx context.Context, req plan.Request) (*plan.Exact, error) {
+		if req.N != n {
+			<-ctx.Done() // the occupier holds the only slot for the whole test
+			return nil, ctx.Err()
+		}
+		e := hugeExact
+		return &e, nil
+	}
+	s, ts := testServer(t, runner, func(o *plan.Options) {
+		o.MaxInFlight = 1
+		o.MaxQueue = -1 // no queue: overflow sheds at the door
+	})
+	for _, a := range costmodel.Algorithms {
+		if a == straggler {
+			continue
+		}
+		status, _, body := get(t, fmt.Sprintf("%s/v1/plan?n=%d&p=%d&algo=%s", ts.URL, n, p, a))
+		if status != http.StatusOK {
+			t.Fatalf("warming %s: %d %s", a, status, body)
+		}
+	}
+	status, _, body := get(t, fmt.Sprintf("%s/v1/plan?n=%d&p=%d&algo=COnfLUX&wait=0", ts.URL, 2*n, p))
+	if status != http.StatusOK {
+		t.Fatalf("occupier: %d %s", status, body)
+	}
+	waitInFlight(t, s, 1)
+	status, _, body = get(t, fmt.Sprintf("%s/v1/plan?n=%d&p=%d&wait=5s", ts.URL, n, p))
+	if status != http.StatusOK {
+		t.Fatalf("partly shed panel: %d %s", status, body)
+	}
+	requireModelBest(t, body, straggler, want, "shed")
 }
 
 // TestPlanShedding: with a single simulation slot held and no queue,

@@ -29,9 +29,6 @@ var (
 	ErrSingular = errors.New("conflux: singular factor")
 	// ErrUnknownAlgorithm marks an Algorithm with no registered engine.
 	ErrUnknownAlgorithm = errors.New("conflux: unknown algorithm")
-	// ErrUnknownExecutor marks a WithExecutor name that is neither a
-	// concrete executor ("goroutines", "events") nor "auto".
-	ErrUnknownExecutor = errors.New("conflux: unknown executor")
 	// ErrCanceled marks a simulation interrupted by its context
 	// (cancellation or deadline, including the session safety timeout).
 	ErrCanceled = errors.New("conflux: simulation canceled")
@@ -46,13 +43,10 @@ func publicErr(err error) error {
 	case err == nil:
 		return nil
 	case errors.Is(err, ErrShape), errors.Is(err, ErrSingular),
-		errors.Is(err, ErrUnknownAlgorithm), errors.Is(err, ErrUnknownExecutor),
-		errors.Is(err, ErrCanceled):
+		errors.Is(err, ErrUnknownAlgorithm), errors.Is(err, ErrCanceled):
 		return err
 	case errors.Is(err, smpi.ErrCanceled):
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
-	case errors.Is(err, smpi.ErrUnknownExecutor):
-		return fmt.Errorf("%w: %w", ErrUnknownExecutor, err)
 	case errors.Is(err, engine.ErrUnknown):
 		return fmt.Errorf("%w: %w", ErrUnknownAlgorithm, err)
 	case errors.Is(err, trisolve.ErrSingular), errors.Is(err, lu2d.ErrSingular),

@@ -17,7 +17,6 @@ var publicSentinels = map[string]error{
 	"ErrShape":            ErrShape,
 	"ErrSingular":         ErrSingular,
 	"ErrUnknownAlgorithm": ErrUnknownAlgorithm,
-	"ErrUnknownExecutor":  ErrUnknownExecutor,
 	"ErrCanceled":         ErrCanceled,
 }
 
@@ -33,7 +32,6 @@ func TestPublicErrExhaustive(t *testing.T) {
 		want     error
 	}{
 		{"smpi.ErrCanceled", smpi.ErrCanceled, ErrCanceled},
-		{"smpi.ErrUnknownExecutor", smpi.ErrUnknownExecutor, ErrUnknownExecutor},
 		{"engine.ErrUnknown", engine.ErrUnknown, ErrUnknownAlgorithm},
 		{"trisolve.ErrSingular", trisolve.ErrSingular, ErrSingular},
 		{"lu2d.ErrSingular", lu2d.ErrSingular, ErrSingular},
@@ -68,7 +66,7 @@ func TestPublicErrExhaustive(t *testing.T) {
 // an error already carrying one passes through unchanged.
 func TestPublicErrIdempotent(t *testing.T) {
 	for _, internal := range []error{
-		smpi.ErrCanceled, smpi.ErrUnknownExecutor, engine.ErrUnknown,
+		smpi.ErrCanceled, engine.ErrUnknown,
 		trisolve.ErrSingular, lu2d.ErrSingular, lapack.ErrSingular,
 	} {
 		once := publicErr(fmt.Errorf("context: %w", internal))

@@ -1,6 +1,7 @@
 package conflux
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -73,7 +74,7 @@ func TestLinkFailureSurfacesAsError(t *testing.T) {
 	}
 	opt := conflux.DefaultOptions(n, p, 0.25*float64(n*n))
 	start := time.Now()
-	_, err := smpi.RunWorld(w, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{World: w}, func(c *smpi.Comm) error {
 		_, err := conflux.Run(c, nil, opt)
 		return err
 	})

@@ -70,21 +70,6 @@ var Timeout = 30 * time.Minute
 // (cmd/confluxbench overrides it from -alpha/-beta).
 var Machine = costmodel.DefaultMachine()
 
-// Executor selects how replayed worlds schedule their ranks (goroutines,
-// events, or the empty string for auto — events for these volume-mode
-// replays). cmd/confluxbench wires -executor here; the sched experiment
-// sweeps it. Results are executor-independent — this switches only the
-// host-side wall-clock/allocation profile.
-var Executor smpi.Executor
-
-// ExecWorkers is the event executor's concurrent-window width for replayed
-// worlds (cmd/confluxbench wires -workers here; the sched experiment sweeps
-// it). 0 or 1 is the serial schedule. Like Executor, it changes only the
-// host-side profile — reports are bit-identical at every width. Distinct
-// from Workers in parallel.go, which fans independent worlds across cores;
-// ExecWorkers parallelizes the ranks of a single world.
-var ExecWorkers int
-
 // LibSciNB is the "user-specified" ScaLAPACK block size used throughout the
 // harness (Table 2 lists LibSci's block size as a user parameter). It
 // aliases the engine's own default so harness measurements and public-API
@@ -101,8 +86,6 @@ func runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, err
 		P:          p,
 		Machine:    Machine,
 		MachineSet: true,
-		Executor:   Executor,
-		Workers:    ExecWorkers,
 	}, fn)
 }
 

@@ -3,7 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cholesky"
@@ -15,26 +15,15 @@ import (
 	"repro/internal/trace"
 )
 
-// allEngines is the full engine set of the executor-parity acceptance
-// criterion: the four Table 2 LU codes plus the Cholesky extension kernel.
+// allEngines is the full engine set of the executor-parity checks: the four
+// Table 2 LU codes plus the Cholesky extension kernel.
 var allEngines = append(append([]costmodel.Algorithm(nil), costmodel.Algorithms...), costmodel.Cholesky)
 
-// parityWorkerCounts is the concurrent-window sweep of the acceptance
-// criterion: widths {1, 2, 4} plus the host's NumCPU when distinct.
-func parityWorkerCounts() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// runEngineExecutor replays one engine's volume-mode schedule under an
-// explicitly selected executor and window width and returns the trace
-// report.
-func runEngineExecutor(t *testing.T, algo costmodel.Algorithm, n, p int, mem float64, ex smpi.Executor, workers int) *trace.Report {
-	t.Helper()
-	rep, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: false, Executor: ex, Workers: workers}, func(c *smpi.Comm) error {
+// runEngineExec replays one engine's volume-mode schedule through smpi.Exec
+// and returns the trace report. A nil world runs on a fresh world built from
+// Config.P; a non-nil one runs on the caller-built world.
+func runEngineExec(algo costmodel.Algorithm, n, p int, mem float64, w *smpi.World) (*trace.Report, error) {
+	return smpi.Exec(context.Background(), smpi.Config{P: p, World: w}, func(c *smpi.Comm) error {
 		var err error
 		switch algo {
 		case costmodel.LibSci:
@@ -50,23 +39,19 @@ func runEngineExecutor(t *testing.T, algo costmodel.Algorithm, n, p int, mem flo
 		}
 		return err
 	})
-	if err != nil {
-		t.Fatalf("%s n=%d p=%d %s: %v", algo, n, p, ex, err)
-	}
-	if rep.Executor != string(ex) {
-		t.Fatalf("%s: report stamped %q, want %q", algo, rep.Executor, ex)
-	}
-	return rep
 }
 
-// requireExecutorParity asserts the acceptance criterion between two runs:
-// byte-identical volume (per rank and per phase) and bit-identical
-// simulated time (per-rank clocks, so the makespan too).
+// requireExecutorParity asserts that two runs of the same schedule agree:
+// byte-identical volume (per rank and per phase), bit-identical simulated
+// time (per-rank clocks, so the makespan too) and the same executor stamp.
 func requireExecutorParity(t *testing.T, label string, g, e *trace.Report) {
 	t.Helper()
+	if g.Executor != "goroutines" || e.Executor != g.Executor {
+		t.Fatalf("%s: reports stamped %q and %q, want goroutines", label, g.Executor, e.Executor)
+	}
 	for r := 0; r < g.P; r++ {
 		if g.Sent[r] != e.Sent[r] || g.Recv[r] != e.Recv[r] || g.Msgs[r] != e.Msgs[r] {
-			t.Fatalf("%s rank %d: goroutines sent/recv/msgs %d/%d/%d vs events %d/%d/%d",
+			t.Fatalf("%s rank %d: sent/recv/msgs %d/%d/%d vs %d/%d/%d",
 				label, r, g.Sent[r], g.Recv[r], g.Msgs[r], e.Sent[r], e.Recv[r], e.Msgs[r])
 		}
 	}
@@ -84,7 +69,7 @@ func requireExecutorParity(t *testing.T, label string, g, e *trace.Report) {
 		}
 	}
 	if g.Time.Makespan != e.Time.Makespan {
-		t.Fatalf("%s: makespan %v (goroutines) != %v (events)", label, g.Time.Makespan, e.Time.Makespan)
+		t.Fatalf("%s: makespan %v != %v", label, g.Time.Makespan, e.Time.Makespan)
 	}
 	for r := range g.Time.Clock {
 		if g.Time.Clock[r] != e.Time.Clock[r] ||
@@ -96,39 +81,62 @@ func requireExecutorParity(t *testing.T, label string, g, e *trace.Report) {
 	}
 }
 
-// TestExecutorParityAllEngines pins the tentpole acceptance criterion at
-// engine level: for all five engines and awkward small world sizes
-// (including non-power-of-two, non-square p), the goroutine executor and
-// the event executor at every window width {1, 2, 4, NumCPU} produce
-// byte-identical volume and bit-identical simulated time.
+// requireRunParity runs one engine alone, then twice at once — once on a
+// fresh world, once on a caller-built world — and requires all three
+// reports to agree. The concurrent pair shares the wire-buffer pools, so
+// cross-world interference or goroutine-schedule-dependent accounting
+// shows up as a diff (or, under -race, as a race report).
+func requireRunParity(t *testing.T, label string, algo costmodel.Algorithm, n, p int, mem float64) {
+	t.Helper()
+	ref, err := runEngineExec(algo, n, p, mem, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var (
+		reps [2]*trace.Report
+		errs [2]error
+		wg   sync.WaitGroup
+	)
+	worlds := [2]*smpi.World{nil, smpi.NewWorldMachine(p, false, trace.DefaultMachine())}
+	for i := range worlds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = runEngineExec(algo, n, p, mem, worlds[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, name := range []string{"fresh", "caller-world"} {
+		if errs[i] != nil {
+			t.Fatalf("%s/%s: %v", label, name, errs[i])
+		}
+		requireExecutorParity(t, label+"/"+name, ref, reps[i])
+	}
+}
+
+// TestExecutorParityAllEngines pins run-to-run parity of the goroutine
+// executor at engine level: for all five engines and awkward small world
+// sizes (including non-power-of-two, non-square p), a run alone and two
+// concurrent runs produce byte-identical volume and bit-identical
+// simulated time.
 func TestExecutorParityAllEngines(t *testing.T) {
 	const n = 64
 	for _, algo := range allEngines {
 		for _, p := range []int{3, 4, 5, 6} {
 			mem := costmodel.MaxMemoryParams(n, p).M
-			g := runEngineExecutor(t, algo, n, p, mem, smpi.ExecGoroutines, 0)
-			for _, w := range parityWorkerCounts() {
-				e := runEngineExecutor(t, algo, n, p, mem, smpi.ExecEvents, w)
-				label := fmt.Sprintf("%s/p=%d/w=%d", algo, p, w)
-				requireExecutorParity(t, label, g, e)
-			}
+			requireRunParity(t, fmt.Sprintf("%s/p=%d", algo, p), algo, n, p, mem)
 		}
 	}
 }
 
 // TestExecutorParityPaperScaleSpot is the paper-scale spot check of the
-// same criterion: one COnfLUX replay at a Fig. 6-shaped geometry, compared
-// across executors and against a wide concurrent window. Skipped under
-// -short (the full tier-1 run covers it).
+// same criterion: one COnfLUX replay at a Fig. 6-shaped geometry. Skipped
+// under -short (the full tier-1 run covers it).
 func TestExecutorParityPaperScaleSpot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale spot check skipped with -short")
 	}
 	n, p := 2048, 64
 	mem := costmodel.MaxMemoryParams(n, p).M
-	g := runEngineExecutor(t, costmodel.COnfLUX, n, p, mem, smpi.ExecGoroutines, 0)
-	e := runEngineExecutor(t, costmodel.COnfLUX, n, p, mem, smpi.ExecEvents, 1)
-	requireExecutorParity(t, "COnfLUX/paper-spot", g, e)
-	ew := runEngineExecutor(t, costmodel.COnfLUX, n, p, mem, smpi.ExecEvents, runtime.NumCPU())
-	requireExecutorParity(t, "COnfLUX/paper-spot/wide", g, ew)
+	requireRunParity(t, "COnfLUX/paper-spot", costmodel.COnfLUX, n, p, mem)
 }

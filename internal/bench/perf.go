@@ -18,18 +18,16 @@ import (
 // experiments (which measure the *simulated* machine), this suite measures
 // the harness itself: how long the replay of a schedule takes on the host
 // and how much it allocates. Its JSON records (BENCH_baseline.json, frozen
-// before the scalable-core refactor; BENCH_scale.json, regenerated by CI)
-// are the repo's performance trajectory; cmd/benchdiff compares them.
+// before the scalable-core refactor; BENCH_scale.json, the committed
+// paper-scale record; BENCH_scale_run.json, written by every `make
+// bench-json`) are the repo's performance trajectory; cmd/benchdiff
+// compares them.
 
 // PerfCase is one named scenario of the performance suite.
 type PerfCase struct {
 	Name  string
 	Iters int // fixed iteration count, so runs are comparable
 	Run   func(ctx context.Context) error
-	// NoWarm skips the warm-up iteration. Only set it on hour-scale cases
-	// (the sched "beyond" preset), where doubling the run to hide lazy
-	// initialization costs more than the init noise it removes.
-	NoWarm bool
 }
 
 // PerfMeasurement is one case's record: host wall-clock and allocation cost
@@ -125,7 +123,7 @@ func mailboxCase(p, rounds, iters int) PerfCase {
 		Name:  fmt.Sprintf("mailbox-ring/P=%d,rounds=%d", p, rounds),
 		Iters: iters,
 		Run: func(ctx context.Context) error {
-			_, err := smpi.Exec(ctx, smpi.Config{P: p, Executor: Executor}, func(c *smpi.Comm) error {
+			_, err := smpi.Exec(ctx, smpi.Config{P: p}, func(c *smpi.Comm) error {
 				next, prev := (c.Rank()+1)%p, (c.Rank()-1+p)%p
 				for r := 0; r < rounds; r++ {
 					c.Send(next, r, smpi.Msg{N: 64})
@@ -175,10 +173,8 @@ func RunPerfCase(ctx context.Context, pc PerfCase) (PerfMeasurement, error) {
 	out := PerfMeasurement{Name: pc.Name, Iters: pc.Iters}
 	// One warm-up iteration so lazy initialization (engine registry, pools)
 	// is not billed to the first measured rep.
-	if !pc.NoWarm {
-		if err := pc.Run(ctx); err != nil {
-			return out, fmt.Errorf("bench: perf %s: %w", pc.Name, err)
-		}
+	if err := pc.Run(ctx); err != nil {
+		return out, fmt.Errorf("bench: perf %s: %w", pc.Name, err)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()

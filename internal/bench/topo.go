@@ -122,8 +122,6 @@ func measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p int, mem fl
 		P:          p,
 		Machine:    Machine,
 		MachineSet: true,
-		Executor:   Executor,
-		Workers:    ExecWorkers,
 		Topology:   tp,
 	}, func(c *smpi.Comm) error {
 		_, _, err := eng.Run(c, nil, n, cfg)

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func roundTrip(t *testing.T, g grid.Grid, n, v int, payload bool) (*trace.Report
 	if payload {
 		src = mat.Random(n, n, 0xD157)
 	}
-	rep, err := smpi.Run(g.Total, payload, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: payload}, func(c *smpi.Comm) error {
 		if c.Rank() >= g.Used() {
 			return nil
 		}
@@ -300,7 +301,7 @@ func TestGridMismatchPanics(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}
 	bc := grid.BlockCyclic{G: g, V: 4, N: 8}
 	other := grid.Grid{Pr: 4, Pc: 1, Layers: 1, Total: 4}
-	_, err := smpi.Run(1, true, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 1, Payload: true}, func(c *smpi.Comm) error {
 		defer func() {
 			if recover() == nil {
 				t.Error("Scatter with a mismatched grid did not panic")

@@ -1,6 +1,7 @@
 package lu25d
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func factorNumeric(t *testing.T, n, v int, g grid.Grid, seed uint64, general boo
 		a = mat.RandomDiagDominant(n, seed)
 	}
 	var res *Result
-	_, err := smpi.RunTimeout(g.Total, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -133,7 +134,7 @@ func TestPlanSwapsChainedCollisions(t *testing.T) {
 
 func runVolume(t *testing.T, n, v int, g grid.Grid) *trace.Report {
 	t.Helper()
-	rep, err := smpi.RunTimeout(g.Total, false, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, Options{N: n, V: v, Grid: g})
 		return err
 	})

@@ -1,6 +1,7 @@
 package lu2d
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func factorNumeric(t *testing.T, n, p, nb int, seed uint64, opt func(n, p, nb in
 	t.Helper()
 	a := mat.RandomDiagDominant(n, seed)
 	var res *Result
-	rep, err := smpi.RunTimeout(p, true, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -65,7 +66,7 @@ func TestPivotingOnNonDominantMatrix(t *testing.T) {
 	n, p, nb := 40, 4, 8
 	a := mat.Random(n, n, 99)
 	var res *Result
-	_, err := smpi.RunTimeout(p, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -111,7 +112,7 @@ func TestMatchesSequentialFactorization(t *testing.T) {
 
 func runVolume(t *testing.T, n, p, nb int) *trace.Report {
 	t.Helper()
-	rep, err := smpi.RunTimeout(p, false, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: p, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, LibSciOptions(n, p, nb))
 		return err
 	})
@@ -128,7 +129,7 @@ func TestVolumeModeMatchesNumericMode(t *testing.T) {
 	// a diagonally dominant one whose pivots degenerate to the diagonal.
 	n, p, nb := 48, 4, 8
 	a := mat.Random(n, n, 3)
-	repN, err := smpi.RunTimeout(p, true, testTimeout, func(c *smpi.Comm) error {
+	repN, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -178,7 +179,7 @@ func TestVolumeNearModelPrediction(t *testing.T) {
 func TestSingularMatrixReported(t *testing.T) {
 	n, p := 16, 4
 	a := mat.New(n, n) // zero matrix
-	_, err := smpi.RunTimeout(p, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -193,14 +194,14 @@ func TestSingularMatrixReported(t *testing.T) {
 
 func TestRingAndTreeBcastSameVolume(t *testing.T) {
 	n, p, nb := 64, 4, 8
-	repTree, err := smpi.RunTimeout(p, false, testTimeout, func(c *smpi.Comm) error {
+	repTree, err := smpi.Exec(context.Background(), smpi.Config{P: p, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, LibSciOptions(n, p, nb))
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repRing, err := smpi.RunTimeout(p, false, testTimeout, func(c *smpi.Comm) error {
+	repRing, err := smpi.Exec(context.Background(), smpi.Config{P: p, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		opt := LibSciOptions(n, p, nb)
 		opt.RingBcast = true
 		_, err := Run(c, nil, opt)
@@ -218,7 +219,7 @@ func TestRingAndTreeBcastSameVolume(t *testing.T) {
 
 func TestGridMustUseAllRanks(t *testing.T) {
 	// Rank panics are converted to run errors by the runtime.
-	_, err := smpi.RunTimeout(4, false, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 4, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		opt := LibSciOptions(64, 4, 8)
 		opt.Grid = grid.Grid{Pr: 1, Pc: 3, Layers: 1, Total: 4}
 		_, err := Run(c, nil, opt)

@@ -7,13 +7,12 @@
 // The correctness story rests on PR 2/PR 6's determinism pins: every
 // simulation in this repo is a pure function of the canonical parameter
 // tuple (engine, N, P, M, nb, machine α/β, solve geometry) — reports are
-// byte-identical across reps, executors, and event-window widths. Results
-// are therefore infinitely cacheable, and the one obligation this package
-// owns is getting the key boundary exactly right: every
-// result-determining field of conflux.Config must be in the key (a missed
-// field aliases distinct results), and the fields pinned to change nothing
-// (Executor, Workers, Timeout) must stay out (including them only
-// fragments the cache). TestKeyCoversConfig enforces the classification by
+// byte-identical across reps and kernel widths. Results are therefore
+// infinitely cacheable, and the one obligation this package owns is
+// getting the key boundary exactly right: every result-determining field
+// of conflux.Config must be in the key (a missed field aliases distinct
+// results), and the fields pinned to change nothing (KernelWorkers,
+// Timeout) must stay out (including them only fragments the cache). TestKeyCoversConfig enforces the classification by
 // reflecting over conflux.Config, so a new Session option cannot land
 // without being classified here first. See DESIGN.md §13.
 package plan
@@ -49,9 +48,9 @@ func (j Job) Valid() bool { return j == "" || j == JobVolume || j == JobSolve }
 // authoritative record of why each field is in or out:
 //
 //   - key fields determine simulation outputs (the canonical tuple);
-//   - excluded fields are pinned by the parity suites to change nothing
-//     observable (Executor: DESIGN.md §11; Workers: §12; KernelWorkers:
-//     §15 — numeric factors are bit-identical at every kernel width) or
+//   - excluded fields are pinned by tests to change nothing
+//     observable (KernelWorkers: DESIGN.md §15 — numeric factors are
+//     bit-identical at every kernel width) or
 //     bound only wall-clock execution (Timeout), so keying on them would
 //     fragment the cache into byte-identical copies.
 var (
@@ -60,7 +59,7 @@ var (
 		"SolveRanks", "RHS", "RefineSweeps", "BlockSize",
 		// The topology spec changes every simulated clock (two topologies
 		// must never share a cache entry), but reports stay bit-identical
-		// across executors and widths under any topology — so the whole
+		// across reps under any topology — so the whole
 		// nested spec is key-relevant, encoded preset name + exact-hex
 		// floats like the machine β. Faults is the fault plan's canonical
 		// string (already exact-hex), keyed verbatim.
@@ -70,7 +69,7 @@ var (
 		"Topology.Global.Alpha", "Topology.Global.Beta",
 		"Topology.Contention", "Faults",
 	}
-	ExcludedFields = []string{"Timeout", "Executor", "Workers", "KernelWorkers"}
+	ExcludedFields = []string{"Timeout", "KernelWorkers"}
 )
 
 // Request is one canonical planner evaluation: a single (engine, problem,

@@ -81,8 +81,6 @@ func baseConfig() conflux.Config {
 		},
 		Faults:        "L0:1:0x1p+03,S3:0x1p+01",
 		Timeout:       time.Minute,
-		Executor:      "auto",
-		Workers:       1,
 		KernelWorkers: 1,
 	}
 }
@@ -112,8 +110,8 @@ func perturbField(t *testing.T, cfg *conflux.Config, path string) {
 // TestKeySensitivity drives the classification end to end: perturbing any
 // KeyField changes the key (requests differing only in machine β, nb,
 // memory, ... MISS each other), while perturbing any ExcludedField leaves
-// it unchanged (requests differing only in executor, workers, or timeout
-// HIT the same entry).
+// it unchanged (requests differing only in kernel workers or timeout HIT
+// the same entry).
 func TestKeySensitivity(t *testing.T) {
 	base, err := FromConfig(baseConfig(), 256, JobVolume)
 	if err != nil {
@@ -151,15 +149,15 @@ func TestKeySensitivity(t *testing.T) {
 }
 
 // TestKeySessionLevel pins the same property through real Sessions: two
-// sessions differing only in executor, workers, and timeout produce the
-// same key; differing in β produces a different one.
+// sessions differing only in kernel workers and timeout produce the same
+// key; differing in β produces a different one.
 func TestKeySessionLevel(t *testing.T) {
 	s1, err := conflux.New(conflux.WithRanks(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, err := conflux.New(conflux.WithRanks(4),
-		conflux.WithExecutor("goroutines"), conflux.WithWorkers(8), conflux.WithTimeout(3*time.Second))
+		conflux.WithKernelWorkers(8), conflux.WithTimeout(3*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +170,7 @@ func TestKeySessionLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1.Key() != r2.Key() {
-		t.Fatalf("executor/workers/timeout leaked into the key:\n%q\n%q", r1.Key(), r2.Key())
+		t.Fatalf("kernel workers/timeout leaked into the key:\n%q\n%q", r1.Key(), r2.Key())
 	}
 	m := conflux.DefaultMachine()
 	m.Beta *= 1.0000001

@@ -25,10 +25,9 @@ var (
 )
 
 // Exact is the exact simulation tier: the metered quantities of one run,
-// straight off the trace report. It deliberately carries no
-// executor/workers provenance — responses must be byte-identical whichever
-// executor produced them, which is the same pin that keeps those fields
-// out of the cache key.
+// straight off the trace report. It deliberately carries no executor
+// provenance — responses must be byte-identical across runs, which is the
+// same pin that makes them cacheable.
 type Exact struct {
 	// TotalBytes is the aggregate bytes sent, housekeeping included.
 	TotalBytes int64 `json:"total_bytes"`

@@ -239,8 +239,8 @@ func TestNoGoroutineLeakAfterBurst(t *testing.T) {
 
 // TestExactMatchesUncachedSession is the acceptance pin: the planner's
 // cached exact tier is byte-identical to an uncached Session run — and
-// identical whichever executor or window width that uncached run uses,
-// which is precisely why executor/workers are excluded from the key.
+// identical whichever kernel width or timeout that uncached run uses,
+// which is precisely why those fields are excluded from the key.
 func TestExactMatchesUncachedSession(t *testing.T) {
 	pl := NewPlanner(t.Context(), Options{MaxInFlight: 2})
 	req := volumeReq(t, 96, 8)
@@ -255,8 +255,8 @@ func TestExactMatchesUncachedSession(t *testing.T) {
 	}
 	for _, opts := range [][]conflux.Option{
 		{conflux.WithRanks(8)},
-		{conflux.WithRanks(8), conflux.WithExecutor("goroutines")},
-		{conflux.WithRanks(8), conflux.WithExecutor("events"), conflux.WithWorkers(4)},
+		{conflux.WithRanks(8), conflux.WithKernelWorkers(4)},
+		{conflux.WithRanks(8), conflux.WithTimeout(time.Minute)},
 	} {
 		s, err := conflux.New(opts...)
 		if err != nil {

@@ -11,64 +11,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Executor selects how a run schedules its ranks. Both executors produce
-// byte-identical volume reports and bit-identical simulated clocks — the
-// results are pure functions of per-rank program order plus FIFO message
-// matching, independent of scheduling — so the choice is purely a
-// performance/scale tradeoff.
-type Executor string
+// executorName is the report stamp of the one run executor: one goroutine
+// per rank, parked on its mailbox condvar while a receive blocks. Reports
+// carry it (trace.Report.Executor) as provenance.
+const executorName = "goroutines"
 
-const (
-	// ExecAuto picks per run: events for volume-mode (phantom) worlds,
-	// goroutines for numeric ones. Volume replays are pure metering
-	// bookkeeping, so the single-threaded event loop wins by eliminating
-	// P stacks and a condvar handoff per matched receive; numeric runs do
-	// real arithmetic per rank, which the goroutine executor spreads
-	// across cores.
-	ExecAuto Executor = "auto"
-	// ExecGoroutines runs one live goroutine per rank, parked on mailbox
-	// condvars when blocked — the classic CSP execution.
-	ExecGoroutines Executor = "goroutines"
-	// ExecEvents runs the discrete-event scheduler (see events.go): ranks
-	// are coroutines yielding to a clock-ordered event loop, at most one
-	// executing at a time.
-	ExecEvents Executor = "events"
-)
+// ErrCanceled is the sentinel wrapped by every run that was interrupted by
+// its context (cancellation or deadline). Callers test for it with
+// errors.Is; the returned error additionally wraps the context's cause, so
+// errors.Is(err, context.Canceled) / context.DeadlineExceeded also work.
+var ErrCanceled = errors.New("smpi: run canceled")
 
-// ErrUnknownExecutor is wrapped by Exec (and ResolveExecutor) when the
-// configured executor names neither a concrete executor nor auto.
-var ErrUnknownExecutor = errors.New("smpi: unknown executor")
-
-// Valid reports whether e names a concrete executor or auto (the empty
-// string counts as auto).
-func (e Executor) Valid() bool {
-	switch e {
-	case "", ExecAuto, ExecGoroutines, ExecEvents:
-		return true
-	}
-	return false
-}
-
-// ResolveExecutor maps an executor choice to a concrete executor for a run
-// with the given payload mode. The empty string means auto.
-func ResolveExecutor(e Executor, payload bool) (Executor, error) {
-	switch e {
-	case "", ExecAuto:
-		if payload {
-			return ExecGoroutines, nil
-		}
-		return ExecEvents, nil
-	case ExecGoroutines, ExecEvents:
-		return e, nil
-	}
-	return "", fmt.Errorf("%w: %q (want %q, %q, or %q)",
-		ErrUnknownExecutor, string(e), ExecAuto, ExecGoroutines, ExecEvents)
-}
+// RankFunc is the body executed by every rank of a simulated run.
+type RankFunc func(c *Comm) error
 
 // Config describes one simulated run for Exec. The zero value is not
 // runnable (P must be positive unless World is set); every other field has
-// a useful zero: volume mode, default α-β machine, auto executor, no
-// deadline.
+// a useful zero: volume mode, default α-β machine, no deadline.
 type Config struct {
 	// P is the world size. Ignored when World is set.
 	P int
@@ -87,16 +46,6 @@ type Config struct {
 	// applies to caller-supplied Worlds too — the one Config field World
 	// does not override — so fault-scenario worlds compose with it.
 	Topology trace.Topology
-	// Executor picks the scheduling strategy; zero/auto resolves by
-	// payload mode (see ExecAuto).
-	Executor Executor
-	// Workers, for the event executor, is the concurrent-window width:
-	// how many of the earliest ready ranks run simultaneously between
-	// scheduler barriers (DESIGN.md §12). Values < 1 mean 1 — the serial
-	// baton discipline with lock-free mailbox access; values above P are
-	// clamped to P. The report is bit-identical at every width. Ignored
-	// by the goroutine executor, which always runs all ranks live.
-	Workers int
 	// Timeout, when positive, bounds the run's wall-clock time: the
 	// deadline aborts the world (schedule deadlocks fail instead of
 	// hanging) and surfaces as ErrCanceled wrapping
@@ -109,9 +58,8 @@ type Config struct {
 }
 
 // Exec is the single entrypoint of the runtime: it executes fn on every
-// rank of the configured world and returns the run's trace report (volume +
-// simulated time, stamped with the resolved executor). The eight historical
-// Run* variants are thin wrappers over it.
+// rank of the configured world, one goroutine per rank, and returns the
+// run's trace report (volume + simulated time, stamped "goroutines").
 //
 // Error contract: the first rank error — or panic, converted — wins, with
 // secondary ErrAborted unwinds filtered out. When ctx is canceled (or the
@@ -133,10 +81,6 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	if cfg.Topology != nil {
 		w.Trace.SetTopology(cfg.Topology)
 	}
-	ex, err := ResolveExecutor(cfg.Executor, w.Payload)
-	if err != nil {
-		return nil, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -149,53 +93,15 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	if ctx.Err() != nil {
 		return nil, canceledErr(ctx)
 	}
-	w.executor = ex
-	if ex == ExecEvents {
-		w.sched = newEventScheduler(w, cfg.Workers)
-	}
-	stopWatcher := func() {}
-	if cancelCh := ctx.Done(); cancelCh != nil {
-		// The watcher holds the world open until the run returns, so a
-		// cancellation arriving at any point wakes the blocked ranks
-		// exactly once and the goroutine never leaks. Runs on a
-		// non-cancelable context skip it, keeping the Go runtime's
-		// all-goroutines-asleep deadlock detector meaningful for them.
-		// The join matters: the watcher reaches the scheduler through
-		// w.sched, which must not be released to the pool under it.
-		done := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-cancelCh:
-				w.Abort()
-			case <-done:
-			}
-		}()
-		stopWatcher = func() {
-			close(done)
-			<-exited
-		}
-	}
-	var errs []error
-	var workers int
-	if ex == ExecEvents {
-		workers = w.sched.workers
-		errs = w.sched.run(fn)
-	} else {
-		errs = runGoroutines(w, fn)
-	}
-	stopWatcher()
-	if s := w.sched; s != nil {
-		// Safe to recycle: run returned (every rank goroutine sent its
-		// evDone) and the watcher has been joined.
-		w.sched = nil
-		s.release()
-	}
+	// A cancelable run aborts the world when the context fires. Runs on a
+	// non-cancelable context register nothing, keeping the Go runtime's
+	// all-goroutines-asleep deadlock detector meaningful for them.
+	stop := context.AfterFunc(ctx, w.Abort)
+	errs := runRanks(w, fn)
+	stop()
 	w.reclaim()
 	rep := w.Trace.Report()
-	rep.Executor = string(ex)
-	rep.Workers = workers
+	rep.Executor = executorName
 	runErr := firstRunError(errs)
 	if runErr != nil && ctx.Err() != nil {
 		// The abort unwound the ranks (surfacing as ErrAborted or as
@@ -206,10 +112,20 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	return rep, runErr
 }
 
-// runGoroutines is the classic executor: one goroutine per rank, with rank
-// panics converted to errors and the first failure aborting the world so
-// blocked ranks unwind instead of deadlocking.
-func runGoroutines(w *World, fn RankFunc) []error {
+func canceledErr(ctx context.Context) error {
+	cause := context.Cause(ctx)
+	if err := ctx.Err(); !errors.Is(cause, err) {
+		// A custom cause (e.g. a timeout explanation) replaces ctx.Err()
+		// in the chain; keep both so errors.Is works against either.
+		return fmt.Errorf("%w: %w (%w)", ErrCanceled, cause, err)
+	}
+	return fmt.Errorf("%w: %w", ErrCanceled, cause)
+}
+
+// runRanks runs one goroutine per rank, with rank panics converted to
+// errors and the first failure aborting the world so blocked ranks unwind
+// instead of deadlocking.
+func runRanks(w *World, fn RankFunc) []error {
 	errs := make([]error, w.P)
 	var wg sync.WaitGroup
 	for r := 0; r < w.P; r++ {
@@ -257,10 +173,9 @@ func firstRunError(errs []error) error {
 // reclaim sweeps the world after every rank has unwound: undelivered pooled
 // payloads (SendMat wire buffers, MaxLoc reduction pairs stranded by an
 // abort) go back to their pools, drained queue carcasses and the mailbox
-// free-slot caches are recycled, and the world's RMA window registry entry
-// is dropped so the world itself is collectable. Counts land in
-// w.reclaimed for the regression tests. The mailbox locks are held against
-// a late watcher Abort broadcast.
+// free-slot caches are recycled. Counts land in w.reclaimed for the
+// regression tests. The mailbox locks are held against a late
+// cancellation Abort broadcast.
 func (w *World) reclaim() {
 	for _, mb := range w.boxes {
 		mb.mu.Lock()

@@ -5,51 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mat"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
-func TestResolveExecutor(t *testing.T) {
-	cases := []struct {
-		in      Executor
-		payload bool
-		want    Executor
-	}{
-		{"", false, ExecEvents},
-		{"", true, ExecGoroutines},
-		{ExecAuto, false, ExecEvents},
-		{ExecAuto, true, ExecGoroutines},
-		{ExecEvents, true, ExecEvents},
-		{ExecGoroutines, false, ExecGoroutines},
-	}
-	for _, c := range cases {
-		got, err := ResolveExecutor(c.in, c.payload)
-		if err != nil || got != c.want {
-			t.Fatalf("ResolveExecutor(%q, %v) = %q, %v; want %q", c.in, c.payload, got, err, c.want)
-		}
-	}
-	if _, err := ResolveExecutor("fibers", false); !errors.Is(err, ErrUnknownExecutor) {
-		t.Fatalf("bad name: got %v, want ErrUnknownExecutor", err)
-	}
-}
-
-func TestExecUnknownExecutor(t *testing.T) {
-	_, err := Exec(context.Background(), Config{P: 2, Executor: "bogus"}, func(c *Comm) error { return nil })
-	if !errors.Is(err, ErrUnknownExecutor) {
-		t.Fatalf("got %v, want ErrUnknownExecutor", err)
-	}
-}
-
-// parityWorkload is a communication-dense rank body exercising point-to-
+// denseWorkload is a communication-dense rank body exercising point-to-
 // point, butterfly collectives, barriers, and a MaxLoc reduction — the
-// full matching surface both executors must agree on.
-func parityWorkload(c *Comm) error {
+// full matching surface repeated runs must agree on.
+func denseWorkload(c *Comm) error {
 	p, me := c.Size(), c.Rank()
 	c.SetPhase("ring")
 	for round := 0; round < 5; round++ {
@@ -65,8 +32,8 @@ func parityWorkload(c *Comm) error {
 	c.SetPhase("shift")
 	// Pairwise exchange under the reversal pairing (an involution for every
 	// p; the middle rank of an odd world sits out), with receive-before-
-	// send ordering on half the ranks so the executor has to park and
-	// re-arm waits.
+	// send ordering on half the ranks so receivers have to park and be
+	// woken.
 	peer := p - 1 - me
 	if peer != me {
 		if me < peer {
@@ -96,195 +63,101 @@ func reportsEqual(a, b *trace.Report) error {
 	return nil
 }
 
-// parityWorkerCounts is the concurrent-window sweep the parity suites pin:
-// serial, the small fixed widths, and whatever the host's NumCPU is.
-func parityWorkerCounts() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// TestExecutorParityWorkload pins the core executor-equivalence claim at the
-// runtime level: byte-identical volume and bit-identical clocks between the
-// goroutine executor and the event executor at every concurrent-window
-// width, in both payload modes, across odd and power-of-two world sizes.
-func TestExecutorParityWorkload(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 6, 8} {
-		for _, payload := range []bool{false, true} {
-			base, err := Exec(context.Background(), Config{P: p, Payload: payload, Executor: ExecGoroutines}, parityWorkload)
-			if err != nil {
-				t.Fatalf("p=%d payload=%v goroutines: %v", p, payload, err)
-			}
-			if base.Executor != string(ExecGoroutines) || base.Workers != 0 {
-				t.Fatalf("goroutine report stamped %q/%d, want %q/0", base.Executor, base.Workers, ExecGoroutines)
-			}
-			for _, workers := range parityWorkerCounts() {
-				rep, err := Exec(context.Background(),
-					Config{P: p, Payload: payload, Executor: ExecEvents, Workers: workers}, parityWorkload)
-				if err != nil {
-					t.Fatalf("p=%d payload=%v events w=%d: %v", p, payload, workers, err)
-				}
-				if rep.Executor != string(ExecEvents) {
-					t.Fatalf("report stamped %q, want %q", rep.Executor, ExecEvents)
-				}
-				if want := min(workers, p); rep.Workers != want {
-					t.Fatalf("p=%d w=%d: report Workers = %d, want %d", p, workers, rep.Workers, want)
-				}
-				if err := reportsEqual(base, rep); err != nil {
-					t.Fatalf("p=%d payload=%v events w=%d: %v", p, payload, workers, err)
-				}
-			}
-		}
-	}
-}
-
-// TestEventExecutorNumericCorrect: the event executor must move real
-// payloads correctly, not just meter them — a numeric SendMat/RecvMat chain
-// through several ranks preserves values.
-func TestEventExecutorNumericCorrect(t *testing.T) {
-	const p = 4
-	_, err := Exec(context.Background(), Config{P: p, Payload: true, Executor: ExecEvents}, func(c *Comm) error {
-		m := mat.New(2, 2)
-		if c.Rank() == 0 {
-			m.Set(0, 0, 42)
-			m.Set(1, 1, 7)
-			c.SendMat(1, 0, m)
-			return nil
-		}
-		c.RecvMat(c.Rank()-1, 0, m)
-		if m.At(0, 0) != 42 || m.At(1, 1) != 7 {
-			return fmt.Errorf("rank %d: payload corrupted: %v %v", c.Rank(), m.At(0, 0), m.At(1, 1))
-		}
-		if c.Rank() < p-1 {
-			c.SendMat(c.Rank()+1, 0, m)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// abortConfigs enumerates the executor × window-width matrix the abort and
-// cancel reclaim tests cover (Workers is ignored by the goroutine executor).
-func abortConfigs() []Config {
-	return []Config{
-		{Executor: ExecGoroutines},
-		{Executor: ExecEvents},
-		{Executor: ExecEvents, Workers: 4},
-	}
-}
-
-func abortConfigName(cfg Config) string {
-	return fmt.Sprintf("%s/w%d", cfg.Executor, max(cfg.Workers, 1))
-}
-
 // TestAbortReclaimsPooledWireBuffers is the pool-reclaim regression test:
 // when a run aborts with pooled wire buffers still undelivered (numeric
 // SendMat traffic nobody received), the post-run sweep must return them and
-// their queue carcasses to the pools — under both executors, serial and
-// concurrent-window.
+// their queue carcasses to the pools.
 func TestAbortReclaimsPooledWireBuffers(t *testing.T) {
-	for _, cfg := range abortConfigs() {
-		w := NewWorld(3, true)
-		cfg.World = w
-		_, err := Exec(context.Background(), cfg, func(c *Comm) error {
-			switch c.Rank() {
-			case 0:
-				m := mat.New(4, 4)
-				c.SendMat(2, 1, m) // never received: tag 1 ≠ awaited tag 9
-				c.SendMat(2, 2, m)
-				return nil
-			case 1:
-				return fmt.Errorf("injected failure")
-			default:
-				c.Recv(1, 9) // blocks until the abort unwinds it
-				return nil
-			}
-		})
-		name := abortConfigName(cfg)
-		if err == nil || errors.Is(err, ErrAborted) {
-			t.Fatalf("%s: want the injected failure, got %v", name, err)
-		}
-		if w.reclaimed.bufs != 2 {
-			t.Fatalf("%s: reclaimed %d pooled buffers, want 2", name, w.reclaimed.bufs)
-		}
-		if w.reclaimed.queues == 0 {
-			t.Fatalf("%s: no queue carcasses reclaimed", name)
-		}
-		for r, mb := range w.boxes {
-			if len(mb.q) != 0 {
-				t.Fatalf("%s: rank %d mailbox still holds %d keys after reclaim", name, r, len(mb.q))
-			}
-		}
-	}
-}
-
-// TestCancelReclaimsPools covers the RunContextWorld-style cancellation
-// path: a canceled run must unwind blocked ranks promptly and sweep the
-// stranded pooled payloads, under both executors, serial and concurrent.
-func TestCancelReclaimsPools(t *testing.T) {
-	for _, cfg := range abortConfigs() {
-		w := NewWorld(2, true)
-		cfg.World = w
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err := Exec(ctx, cfg, func(c *Comm) error {
-			if c.Rank() == 0 {
-				m := mat.New(3, 3)
-				c.SendMat(1, 99, m) // never received
-				cancel()
-			}
-			c.Recv(1-c.Rank(), 7) // both ranks block until the abort
+	w := NewWorld(3, true)
+	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
+		switch c.Rank() {
+		case 0:
+			m := mat.New(4, 4)
+			c.SendMat(2, 1, m) // never received: tag 1 ≠ awaited tag 9
+			c.SendMat(2, 2, m)
 			return nil
-		})
-		cancel()
-		name := abortConfigName(cfg)
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: got %v, want ErrCanceled wrapping context.Canceled", name, err)
+		case 1:
+			return fmt.Errorf("injected failure")
+		default:
+			c.Recv(1, 9) // blocks until the abort unwinds it
+			return nil
 		}
-		if w.reclaimed.bufs != 1 {
-			t.Fatalf("%s: reclaimed %d pooled buffers, want 1", name, w.reclaimed.bufs)
+	})
+	if err == nil || errors.Is(err, ErrAborted) {
+		t.Fatalf("want the injected failure, got %v", err)
+	}
+	if w.reclaimed.bufs != 2 {
+		t.Fatalf("reclaimed %d pooled buffers, want 2", w.reclaimed.bufs)
+	}
+	if w.reclaimed.queues == 0 {
+		t.Fatal("no queue carcasses reclaimed")
+	}
+	requireEmptyMailboxes(t, w)
+}
+
+// TestCancelReclaimsPools covers the cancellation path: a canceled run
+// must unwind blocked ranks promptly and sweep the stranded pooled
+// payloads.
+func TestCancelReclaimsPools(t *testing.T) {
+	w := NewWorld(2, true)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := Exec(ctx, Config{World: w}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			m := mat.New(3, 3)
+			c.SendMat(1, 99, m) // never received
+			cancel()
 		}
-		for r, mb := range w.boxes {
-			if len(mb.q) != 0 {
-				t.Fatalf("%s: rank %d mailbox still holds %d keys", name, r, len(mb.q))
-			}
+		c.Recv(1-c.Rank(), 7) // both ranks block until the abort
+		return nil
+	})
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if w.reclaimed.bufs != 1 {
+		t.Fatalf("reclaimed %d pooled buffers, want 1", w.reclaimed.bufs)
+	}
+	requireEmptyMailboxes(t, w)
+}
+
+// requireEmptyMailboxes asserts the post-run sweep left no key behind.
+func requireEmptyMailboxes(t *testing.T, w *World) {
+	t.Helper()
+	for r, mb := range w.boxes {
+		if len(mb.q) != 0 {
+			t.Fatalf("rank %d mailbox still holds %d keys after reclaim", r, len(mb.q))
 		}
 	}
 }
 
-// TestAbortMidConcurrentWindow interrupts a wide concurrent window with
-// pooled wire buffers in flight from many simultaneously-running senders:
-// ranks 1..P-1 each ship a pooled payload to rank 0 on a tag it never
-// receives and then block; rank 0 fails the world from inside the same
-// window. Every one of the P-1 stranded buffers must come back through the
-// post-run sweep regardless of where in its send/block lifecycle each
-// sender was when the abort landed.
+// strandSenders is the many-senders abort body: ranks 1..P-1 each ship a
+// pooled payload to rank 0 on a tag it never receives and then block, while
+// rank 0 fails the world. Every one of the P-1 stranded buffers must come
+// back through the post-run sweep regardless of where in its send/block
+// lifecycle each sender was when the abort landed.
+func strandSenders(c *Comm) error {
+	if c.Rank() == 0 {
+		return fmt.Errorf("injected failure")
+	}
+	m := mat.New(4, 4)
+	c.SendMat(0, 5, m) // tag 5 is never received
+	c.Recv(0, 99)      // blocks until the abort unwinds it
+	return nil
+}
+
+// TestAbortMidConcurrentWindow interrupts a world with pooled wire buffers
+// in flight from many concurrently running senders (strandSenders).
 func TestAbortMidConcurrentWindow(t *testing.T) {
 	const p = 8
 	w := NewWorld(p, true)
-	_, err := Exec(context.Background(), Config{World: w, Executor: ExecEvents, Workers: p}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return fmt.Errorf("injected failure")
-		}
-		m := mat.New(4, 4)
-		c.SendMat(0, 5, m) // tag 5 is never received
-		c.Recv(0, 99)      // blocks until the abort unwinds it
-		return nil
-	})
+	_, err := Exec(context.Background(), Config{World: w}, strandSenders)
 	if err == nil || errors.Is(err, ErrAborted) {
 		t.Fatalf("want the injected failure, got %v", err)
 	}
 	if w.reclaimed.bufs != p-1 {
 		t.Fatalf("reclaimed %d pooled buffers, want %d", w.reclaimed.bufs, p-1)
 	}
-	for r, mb := range w.boxes {
-		if len(mb.q) != 0 {
-			t.Fatalf("rank %d mailbox still holds %d keys after reclaim", r, len(mb.q))
-		}
-	}
+	requireEmptyMailboxes(t, w)
 }
 
 // TestAbortFaultedTopologyReclaims is TestAbortMidConcurrentWindow on a
@@ -307,57 +180,24 @@ func TestAbortFaultedTopologyReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorld(p, true)
-	_, err = Exec(context.Background(), Config{World: w, Topology: tp, Executor: ExecEvents, Workers: p}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return fmt.Errorf("injected failure")
-		}
-		m := mat.New(4, 4)
-		c.SendMat(0, 5, m) // tag 5 is never received
-		c.Recv(0, 99)      // blocks until the abort unwinds it
-		return nil
-	})
+	_, err = Exec(context.Background(), Config{World: w, Topology: tp}, strandSenders)
 	if err == nil || errors.Is(err, ErrAborted) {
 		t.Fatalf("want the injected failure, got %v", err)
 	}
 	if w.reclaimed.bufs != p-1 {
 		t.Fatalf("reclaimed %d pooled buffers, want %d", w.reclaimed.bufs, p-1)
 	}
-	for r, mb := range w.boxes {
-		if len(mb.q) != 0 {
-			t.Fatalf("rank %d mailbox still holds %d keys after reclaim", r, len(mb.q))
-		}
-	}
+	requireEmptyMailboxes(t, w)
 	if got := w.Trace.Report().Time.Topology; got != "hier+contention+faults" {
 		t.Fatalf("aborted report lost the topology stamp: %q", got)
 	}
 }
 
-// TestEventExecutorDeadlockSurfacesViaTimeout: an all-ranks-blocked
-// schedule deadlock under the event executor must not fail fast — the
-// scheduler parks until the deadline aborts the world, exactly like the
-// goroutine executor's semantics.
-func TestEventExecutorDeadlockSurfacesViaTimeout(t *testing.T) {
-	start := time.Now()
-	_, err := Exec(context.Background(),
-		Config{P: 2, Payload: false, Executor: ExecEvents, Timeout: 100 * time.Millisecond},
-		func(c *Comm) error {
-			c.Recv(1-c.Rank(), 3) // nobody sends: deadlock
-			return nil
-		})
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want ErrCanceled wrapping DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Fatalf("deadlock surfaced after %v, before the deadline", elapsed)
-	}
-}
-
-// TestEventExecutorDeterminismStress runs several identical event-loop
-// simulations concurrently (under -race in CI) and requires bit-identical
-// reports: the loops share the wire-buffer pools and the window registry,
-// and any cross-world interference or unsynchronized scheduler state would
-// show up as a diff or a race report.
-func TestEventExecutorDeterminismStress(t *testing.T) {
+// TestExecDeterminismStress runs several identical simulations
+// concurrently (under -race in CI) and requires bit-identical reports: the
+// worlds share the wire-buffer pools, and any cross-world interference or
+// scheduling-dependent accounting would show up as a diff or a race report.
+func TestExecDeterminismStress(t *testing.T) {
 	const trials, p = 4, 7
 	reps := make([]*trace.Report, trials)
 	errs := make([]error, trials)
@@ -366,7 +206,7 @@ func TestEventExecutorDeterminismStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reps[i], errs[i] = Exec(context.Background(), Config{P: p, Executor: ExecEvents}, parityWorkload)
+			reps[i], errs[i] = Exec(context.Background(), Config{P: p}, denseWorkload)
 		}(i)
 	}
 	wg.Wait()
@@ -377,32 +217,6 @@ func TestEventExecutorDeterminismStress(t *testing.T) {
 		if i > 0 {
 			if err := reportsEqual(reps[0], reps[i]); err != nil {
 				t.Fatalf("trial %d diverged: %v", i, err)
-			}
-		}
-	}
-}
-
-// TestEventExecutorWorkerDeterminismStress replays the identical world at
-// every worker count — serial, the fixed widths, NumCPU, and wider than the
-// world (clamped) — several times each, and requires every report to be
-// bit-identical to the serial one. Under -race this also proves the
-// concurrent window's mailbox locking and wake-list handoffs are sound.
-func TestEventExecutorWorkerDeterminismStress(t *testing.T) {
-	const p = 9
-	base, err := Exec(context.Background(), Config{P: p, Executor: ExecEvents}, parityWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := append(parityWorkerCounts(), 3, p, 2*p)
-	for _, workers := range counts {
-		for trial := 0; trial < 3; trial++ {
-			rep, err := Exec(context.Background(),
-				Config{P: p, Executor: ExecEvents, Workers: workers}, parityWorkload)
-			if err != nil {
-				t.Fatalf("w=%d trial %d: %v", workers, trial, err)
-			}
-			if err := reportsEqual(base, rep); err != nil {
-				t.Fatalf("w=%d trial %d diverged: %v", workers, trial, err)
 			}
 		}
 	}
@@ -424,7 +238,7 @@ func TestExecWorldOverridesScalars(t *testing.T) {
 	if rep.P != 3 {
 		t.Fatalf("report P = %d, want 3", rep.P)
 	}
-	if rep.Executor != string(ExecEvents) {
-		t.Fatalf("volume-mode auto resolved to %q, want events", rep.Executor)
+	if rep.Executor != "goroutines" {
+		t.Fatalf("report stamped %q, want goroutines", rep.Executor)
 	}
 }

@@ -55,7 +55,7 @@ func TestSubInternsLargeMemberLists(t *testing.T) {
 // by the sharing.
 func TestSubShapesMessaging(t *testing.T) {
 	p := internMembersMin
-	_, err := Exec(context.Background(), Config{P: p, Executor: ExecEvents, Workers: 4}, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{P: p}, func(c *Comm) error {
 		members := make([]int, p)
 		for i := range members {
 			members[i] = p - 1 - i // reversed order: sub-rank ≠ world rank

@@ -19,7 +19,7 @@ func TestRunContextCancelInterruptsBlockedRanks(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunContext(ctx, 2, false, func(c *Comm) error {
+	_, err := Exec(ctx, Config{P: 2}, func(c *Comm) error {
 		peer := 1 - c.Rank()
 		for {
 			if c.Rank() == 0 {
@@ -47,7 +47,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := RunContext(ctx, 2, false, func(c *Comm) error {
+	_, err := Exec(ctx, Config{P: 2}, func(c *Comm) error {
 		ran = true
 		return nil
 	})
@@ -64,7 +64,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 func TestRunContextCompletedRunWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rep, err := RunContext(ctx, 2, false, func(c *Comm) error {
+	rep, err := Exec(ctx, Config{P: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, Msg{N: 8})
 		} else {
@@ -80,10 +80,10 @@ func TestRunContextCompletedRunWins(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutDeadlineSurfacesAsCanceled: the timeout runner now aborts
-// the world (no leaked goroutines) and reports through the same sentinel.
+// TestRunTimeoutDeadlineSurfacesAsCanceled: a run's Timeout aborts the
+// world (no leaked goroutines) and reports through the same sentinel.
 func TestRunTimeoutDeadlineSurfacesAsCanceled(t *testing.T) {
-	_, err := RunTimeout(2, false, 20*time.Millisecond, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{P: 2, Timeout: 20 * time.Millisecond}, func(c *Comm) error {
 		c.Recv(1-c.Rank(), 1) // both ranks wait forever: schedule deadlock
 		return nil
 	})

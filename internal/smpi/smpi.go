@@ -35,14 +35,6 @@ type World struct {
 	boxes   []*mailbox
 	aborted atomic.Bool
 
-	// sched is non-nil when the world runs under the discrete-event
-	// executor (see events.go): ranks then yield blocked receives to the
-	// scheduler instead of parking on mailbox condvars, and at most one
-	// rank executes at a time. executor records the resolved choice for
-	// the report stamp.
-	sched    *eventScheduler
-	executor Executor
-
 	// reclaimed counts what the post-run sweep returned to the pools
 	// (leased wire buffers of undelivered messages, emptied queue
 	// carcasses). Written once after all ranks have unwound; read by the
@@ -90,7 +82,7 @@ func NewWorldMachine(p int, payload bool, m trace.Machine) *World {
 	w.Trace.ExcludeFromTiming(trace.PhaseLayout, trace.PhaseCollect)
 	w.boxes = make([]*mailbox, p)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox(i)
+		w.boxes[i] = newMailbox()
 	}
 	w.worldMembers = make([]int, p)
 	for i := range w.worldMembers {
@@ -142,14 +134,8 @@ var ErrAborted = errors.New("smpi: run aborted by another rank's failure")
 // check and cond.Wait holds that mutex, so acquiring it orders the store
 // before the rank's recheck — an unlocked broadcast could land in that
 // window and be lost, leaving the rank (and the whole run) blocked forever.
-// Under the event executor no rank waits on a condvar; the abort instead
-// wakes the scheduler (which may be idling on an all-ranks-blocked
-// schedule deadlock) so it unwinds every parked rank.
 func (w *World) Abort() {
 	w.aborted.Store(true)
-	if s := w.sched; s != nil {
-		s.signalAbort()
-	}
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
 		mb.cond.Broadcast()
@@ -292,7 +278,7 @@ func (c *Comm) Send(to, tag int, msg Msg) {
 		msg.sendPhase = *c.phase
 		msg.sendTime = c.w.Trace.RecordSend(src, dst, bytes, msg.sendPhase)
 	}
-	c.w.boxes[dst].put(c.w, msgKey{src: src, comm: c.id, tag: tag}, msg)
+	c.w.boxes[dst].put(msgKey{src: src, comm: c.id, tag: tag}, msg)
 }
 
 // Recv blocks until a message from communicator rank `from` under `tag`

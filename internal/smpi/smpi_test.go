@@ -1,6 +1,7 @@
 package smpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -16,7 +17,7 @@ const testTimeout = 30 * time.Second
 
 func run(t *testing.T, p int, payload bool, fn RankFunc) *trace.Report {
 	t.Helper()
-	rep, err := RunTimeout(p, payload, testTimeout, fn)
+	rep, err := Exec(context.Background(), Config{P: p, Payload: payload, Timeout: testTimeout}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestVolumeModeMatchesNumericVolume(t *testing.T) {
 }
 
 func TestRankErrorPropagates(t *testing.T) {
-	_, err := RunTimeout(3, true, testTimeout, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{P: 3, Payload: true, Timeout: testTimeout}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return errors.New("boom")
 		}
@@ -351,7 +352,7 @@ func TestRankErrorPropagates(t *testing.T) {
 }
 
 func TestRankPanicBecomesError(t *testing.T) {
-	_, err := RunTimeout(2, true, testTimeout, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{P: 2, Payload: true, Timeout: testTimeout}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			panic("kaput")
 		}
@@ -372,7 +373,7 @@ func TestFailureInjection(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := RunWorld(w, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
 		m := mat.New(8, 8)
 		c.BcastMat(0, m)
 		return nil
@@ -383,7 +384,7 @@ func TestFailureInjection(t *testing.T) {
 }
 
 func TestDeadlockDetectedByTimeout(t *testing.T) {
-	_, err := RunTimeout(2, true, 200*time.Millisecond, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{P: 2, Payload: true, Timeout: 200 * time.Millisecond}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Recv(1, 1) // never sent
 		}
@@ -452,7 +453,7 @@ func TestQuickBcastVolume(t *testing.T) {
 	f := func(p8, len8 uint8) bool {
 		p := int(p8%12) + 1
 		n := int(len8%20) + 1
-		rep, err := RunTimeout(p, false, testTimeout, func(c *Comm) error {
+		rep, err := Exec(context.Background(), Config{P: p, Timeout: testTimeout}, func(c *Comm) error {
 			c.BcastMat(0, mat.NewPhantom(1, n))
 			return nil
 		})
@@ -471,7 +472,7 @@ func TestQuickButterflySum(t *testing.T) {
 	f := func(p8 uint8) bool {
 		p := int(p8%16) + 1
 		ok := true
-		_, err := RunTimeout(p, true, testTimeout, func(c *Comm) error {
+		_, err := Exec(context.Background(), Config{P: p, Payload: true, Timeout: testTimeout}, func(c *Comm) error {
 			out := c.Butterfly(Msg{F: []float64{1}, N: 1}, func(a, b Msg) Msg {
 				return Msg{F: []float64{a.F[0] + b.F[0]}, N: 1}
 			})

@@ -1,7 +1,7 @@
 // Package topo models the network under the simulated machine: composable
 // topologies that map a delivery (from, to, bytes) to per-endpoint cost,
 // replacing the flat α-β trace.Machine behind the one metering point all
-// five engines and both executors share (trace.Timeline). The paper's
+// five engines share (trace.Timeline). The paper's
 // measurements ran on Piz Daint — a Cray Aries dragonfly with very
 // different intra-node vs inter-node latency/bandwidth and shared links
 // that contend — while its §7.4 cost model is flat; this package is how
@@ -24,8 +24,8 @@
 // receiver's ingress for bytes·β_link seconds, granted in the receiver's
 // matching order. That rule is a pure function of per-rank program order
 // plus FIFO matching — the only total order the determinism argument
-// (DESIGN.md §12) guarantees — so contended reports stay bit-identical at
-// every event-window width and on both executors; see DESIGN.md §14.
+// (DESIGN.md §11) guarantees — so contended reports stay bit-identical
+// across reps however the host interleaves the ranks; see DESIGN.md §14.
 //
 // FaultPlan (fault.go) wraps any built topology with degraded links and
 // straggler ranks as first-class scenarios.

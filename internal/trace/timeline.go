@@ -46,8 +46,8 @@ func (m Machine) IsZero() bool { return m == Machine{} }
 // Determinism contract (DESIGN.md §14): every method must be a pure
 // function of its arguments. All mutable contention state lives on the
 // receiver's shard and advances only at matching, in the receiver's
-// program order, so reports stay bit-identical across executors and
-// event-window widths exactly as with the flat machine.
+// program order, so reports stay bit-identical across reps exactly as
+// with the flat machine.
 type Topology interface {
 	// Name labels the model in TimeReport.Topology ("flat",
 	// "hier+contention", "dragonfly+faults", ...).
@@ -226,9 +226,7 @@ func (t *Timeline) SetTopology(tp Topology) { t.topo = tp }
 // machine.
 func (t *Timeline) Topology() Topology { return t.topo }
 
-// Clock returns rank's current logical clock. The discrete-event executor
-// orders its ready queue by this value (conservative discrete-event
-// scheduling: always advance the rank whose simulated present is earliest).
+// Clock returns rank's current logical clock.
 func (t *Timeline) Clock(rank int) float64 {
 	s := &t.shards[rank]
 	s.mu.Lock()

@@ -31,16 +31,9 @@ type Report struct {
 	// split, critical-path phase attribution). Derived from the same
 	// timeline as the volume fields above.
 	Time *TimeReport
-	// Executor names the run executor that produced this report
-	// ("goroutines" or "events"); stamped by the smpi runner. Both
-	// executors produce byte-identical volume and bit-identical clocks,
-	// so the field is provenance, not a caveat.
+	// Executor names the run executor that produced this report (always
+	// "goroutines"); stamped by the smpi runner as provenance.
 	Executor string
-	// Workers is the event executor's concurrent-window width for this
-	// run (1 = the serial baton schedule); 0 under the goroutine
-	// executor, where every rank is always live. Provenance like
-	// Executor: the report is bit-identical at every width.
-	Workers int
 }
 
 // TotalMsgs is the aggregate message count.

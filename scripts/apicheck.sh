@@ -1,15 +1,16 @@
 #!/bin/sh
 # apicheck: guard the public API surface across the v1 -> v2 transition
-# and the smpi Run* -> Exec consolidation.
+# and the consolidation of the runtime onto one entry point and one
+# executor.
 #
 # 1. The deprecated v1 wrappers must still compile against api_test.go's
 #    v1 usage (Options literals + free functions). `go test -c` compiles
 #    the root test package without running it.
 # 2. Each v1 entry point must still exist and carry a Deprecated: marker,
 #    and the v2 Session surface must expose its core symbols.
-# 3. The eight smpi Run* variants must survive as Deprecated: wrappers
-#    over the one real entry point, smpi.Exec, and the executor surface
-#    (WithExecutor, ErrUnknownExecutor) must stay exposed.
+# 3. smpi.Exec is the runtime's one entry point (no Run* variants beside
+#    it), and the executor-selection options are gone from the Session
+#    surface: every world runs on goroutines.
 #
 # Run via `make apicheck` (CI runs the same target).
 set -eu
@@ -57,32 +58,20 @@ if grep -n 'switch o.Algorithm' api.go; then
     exit 1
 fi
 
-# --- smpi executor consolidation (DESIGN.md §11) ---
+# --- one entry point, one executor (DESIGN.md §11) ---
 
 if ! grep -q '^func Exec(' internal/smpi/exec.go; then
     echo "apicheck: smpi.Exec missing from internal/smpi/exec.go" >&2
     exit 1
 fi
 
-for run in Run RunMachine RunWorld RunContext RunContextMachine \
-           RunContextWorld RunTimeout RunTimeoutMachine; do
-    if ! grep -q "^func $run(" internal/smpi/run.go; then
-        echo "apicheck: deprecated smpi wrapper $run missing from internal/smpi/run.go" >&2
-        exit 1
-    fi
-    if ! grep -B 3 "^func $run(" internal/smpi/run.go | grep -q 'Deprecated:'; then
-        echo "apicheck: smpi wrapper $run lost its Deprecated: marker" >&2
-        exit 1
-    fi
-done
-
-if ! grep -q 'func WithExecutor(' session.go; then
-    echo "apicheck: WithExecutor missing from session.go" >&2
+if grep -nE '^func Run[A-Za-z]*\(' internal/smpi/*.go; then
+    echo "apicheck: a second smpi entry point crept back in beside Exec" >&2
     exit 1
 fi
 
-if ! grep -q 'ErrUnknownExecutor = errors.New' errors.go; then
-    echo "apicheck: typed sentinel ErrUnknownExecutor missing from errors.go" >&2
+if grep -nE 'func With(Executor|Workers)\(' session.go; then
+    echo "apicheck: executor-selection option crept back into session.go" >&2
     exit 1
 fi
 

@@ -3,7 +3,6 @@ package conflux
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sync"
 	"time"
 
@@ -59,20 +58,6 @@ type SessionStats struct {
 	Bytes int64
 	// SimTime is the sum of the simulated α-β makespans, in seconds.
 	SimTime float64
-	// Executor is the resolved executor ("goroutines" or "events") of the
-	// most recent completed run. Under the default "auto" selection it
-	// varies by job kind — numeric jobs (Factorize, Solve) run on
-	// goroutines, volume replays on the event loop — so it reports what
-	// actually ran, not the configured choice. Under concurrent
-	// mixed-executor use "most recent" means completion order (the field
-	// is last-writer-wins, though always a value some run actually
-	// resolved to); RunsByExecutor is the order-independent view.
-	Executor string
-	// RunsByExecutor counts completed runs per resolved executor. Unlike
-	// Executor it is stable under concurrent mixed-executor runs: the
-	// per-executor counts always sum to Runs, whatever order the runs
-	// completed in.
-	RunsByExecutor map[string]int
 }
 
 // sessionConfig is the resolved, immutable configuration of a Session.
@@ -87,10 +72,8 @@ type sessionConfig struct {
 	refineSweeps  int
 	nb            int
 	timeout       time.Duration
-	executor      smpi.Executor // "" = auto
-	workers       int           // 0 = 1: serial event schedule
-	kernelWorkers int           // 0 = 1: serial level-3 kernels
-	topology      topo.Spec     // zero = plain machine path
+	kernelWorkers int       // 0 = 1: serial level-3 kernels
+	topology      topo.Spec // zero = plain machine path
 	faults        topo.FaultPlan
 }
 
@@ -209,49 +192,10 @@ func WithBlockSize(nb int) Option {
 	}
 }
 
-// WithExecutor selects how simulations schedule their ranks: "goroutines"
-// (one live goroutine per rank), "events" (the discrete-event loop — ranks
-// are coroutines driven by a clock-ordered scheduler, which is what makes
-// beyond-paper scales like P = 4096 tractable), or "auto" (the default:
-// events for volume replays, goroutines for numeric runs). Both executors
-// produce byte-identical volume and bit-identical simulated time; see
-// DESIGN.md §11. An unknown name fails New with ErrUnknownExecutor. The
-// resolved choice of each run is reported in Stats().Executor,
-// Result.Executor, and VolumeReport.Executor.
-func WithExecutor(name string) Option {
-	return func(c *sessionConfig) error {
-		e := smpi.Executor(name)
-		if !e.Valid() {
-			return fmt.Errorf("%w: %q (want %q, %q, or %q)",
-				ErrUnknownExecutor, name, smpi.ExecAuto, smpi.ExecGoroutines, smpi.ExecEvents)
-		}
-		c.executor = e
-		return nil
-	}
-}
-
-// WithWorkers sets the event executor's concurrent-window width: up to n
-// of the ready ranks with the earliest logical clocks execute
-// simultaneously between scheduler barriers (DESIGN.md §12). The default
-// (n = 1) is the serial baton schedule; n = runtime.NumCPU() spreads a
-// single world across the host's cores. Reports are bit-identical at
-// every width — the knob trades scheduler overhead against parallelism
-// and changes nothing observable. Widths above the world size are
-// clamped; the goroutine executor ignores the setting.
-func WithWorkers(n int) Option {
-	return func(c *sessionConfig) error {
-		if n < 1 {
-			return fmt.Errorf("conflux: WithWorkers requires n >= 1, got %d", n)
-		}
-		c.workers = n
-		return nil
-	}
-}
-
 // WithKernelWorkers sets the number of goroutines the local level-3
 // kernels (blocked GEMM/TRSM, internal/blas) may use for their outer loop
-// over C row-blocks during numeric runs (default 1: serial). Like
-// WithWorkers, the knob is pinned to change nothing observable: every C
+// over C row-blocks during numeric runs (default 1: serial). The knob is
+// pinned to change nothing observable: every C
 // element is owned by exactly one goroutine and accumulated in a fixed
 // k-order, so numeric factors are bit-identical at every width (DESIGN.md
 // §15) and the option is excluded from result cache keys. The setting is
@@ -320,22 +264,18 @@ func (s *Session) Ranks() int { return s.cfg.ranks }
 func (s *Session) Machine() Machine { return s.cfg.machine }
 
 // Stats returns the accumulated trace totals of every simulation this
-// session has completed so far. The returned value is a snapshot: the
-// RunsByExecutor map is copied, so it never aliases the session's live
-// accounting.
+// session has completed so far.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.RunsByExecutor = maps.Clone(s.stats.RunsByExecutor)
-	return st
+	return s.stats
 }
 
 // Config is the resolved, immutable configuration of a Session — the full
 // canonical parameter tuple. Every simulation output (volume, simulated
-// time, factors) is a pure function of the tuple's first nine fields; the
-// last three (Timeout, Executor, Workers) are pinned by the parity suites
-// to change nothing observable, which is what makes results cacheable by
+// time, factors) is a pure function of every field but the last two
+// (Timeout, KernelWorkers), which are pinned by tests to change nothing
+// observable — which is what makes results cacheable by
 // key: internal/plan derives its deterministic cache keys from exactly
 // this struct, and its key-completeness test reflects over it, so adding a
 // field here without classifying it as key-relevant or key-irrelevant is a
@@ -365,8 +305,8 @@ type Config struct {
 	BlockSize int
 	// Topology is the network-topology specification (zero = the plain
 	// Machine path). Every leaf is a scalar, and reports are bit-identical
-	// across executors and widths under any topology, so the whole nested
-	// struct is key-relevant and nothing else.
+	// across reps under any topology, so the whole nested struct is
+	// key-relevant and nothing else.
 	Topology Topology
 	// Faults is the canonical encoding of the fault/straggler plan
 	// (FaultPlan.Canonical; "" = none). The encoding is deterministic with
@@ -375,35 +315,18 @@ type Config struct {
 	// Timeout is the session safety timeout. It bounds wall-clock
 	// execution only and cannot change a completed run's outputs.
 	Timeout time.Duration
-	// Executor is the configured scheduling strategy ("auto",
-	// "goroutines", or "events"). Reports are pinned byte/bit-identical
-	// across executors (DESIGN.md §11), so it must never enter a result
-	// cache key.
-	Executor string
-	// Workers is the event executor's concurrent-window width (resolved;
-	// minimum 1). Reports are bit-identical at every width (DESIGN.md
-	// §12), so like Executor it is cache-key-irrelevant.
-	Workers int
 	// KernelWorkers is the local level-3 kernels' goroutine count
 	// (resolved; minimum 1). Numeric factors are bit-identical at every
-	// width (DESIGN.md §15), so like Workers it is cache-key-irrelevant.
+	// width (DESIGN.md §15), so like Timeout it is cache-key-irrelevant.
 	KernelWorkers int
 }
 
 // Config returns the session's resolved configuration — the canonical
 // parameter tuple its simulations are a pure function of.
 func (s *Session) Config() Config {
-	workers := s.cfg.workers
-	if workers < 1 {
-		workers = 1
-	}
 	kworkers := s.cfg.kernelWorkers
 	if kworkers < 1 {
 		kworkers = 1
-	}
-	exec := string(s.cfg.executor)
-	if exec == "" {
-		exec = string(smpi.ExecAuto)
 	}
 	return Config{
 		Ranks:         s.cfg.ranks,
@@ -417,8 +340,6 @@ func (s *Session) Config() Config {
 		Topology:      s.cfg.topology,
 		Faults:        s.cfg.faults.Canonical(),
 		Timeout:       s.cfg.timeout,
-		Executor:      exec,
-		Workers:       workers,
 		KernelWorkers: kworkers,
 	}
 }
@@ -465,8 +386,6 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 		Machine:    s.cfg.machine,
 		MachineSet: true,
 		Topology:   tp,
-		Executor:   s.cfg.executor,
-		Workers:    s.cfg.workers,
 	}, fn)
 	if err != nil {
 		return nil, publicErr(err)
@@ -475,11 +394,6 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 	s.stats.Runs++
 	s.stats.Bytes += rep.TotalBytes()
 	s.stats.SimTime += rep.Time.Makespan
-	s.stats.Executor = rep.Executor
-	if s.stats.RunsByExecutor == nil {
-		s.stats.RunsByExecutor = make(map[string]int, 2)
-	}
-	s.stats.RunsByExecutor[rep.Executor]++
 	s.mu.Unlock()
 	return rep, nil
 }

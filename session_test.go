@@ -378,8 +378,8 @@ func TestSessionConfigResolved(t *testing.T) {
 	if cfg.Machine != DefaultMachine() {
 		t.Fatalf("Config().Machine = %+v, want resolved DefaultMachine", cfg.Machine)
 	}
-	if cfg.Executor != "auto" || cfg.Workers != 1 {
-		t.Fatalf("Config() executor/workers = %q/%d, want auto/1", cfg.Executor, cfg.Workers)
+	if cfg.KernelWorkers != 1 {
+		t.Fatalf("Config().KernelWorkers = %d, want resolved default 1", cfg.KernelWorkers)
 	}
 	free, err := New(WithFreeMachine())
 	if err != nil {
@@ -390,12 +390,10 @@ func TestSessionConfigResolved(t *testing.T) {
 	}
 }
 
-// TestSessionStatsRunsByExecutor pins the concurrent mixed-executor
-// accounting: under auto selection a session runs numeric jobs on
-// goroutines and volume replays on the event loop concurrently, and while
-// SessionStats.Executor is documented last-completed-writer-wins, the
-// RunsByExecutor counts must be exact and sum to Runs.
-func TestSessionStatsRunsByExecutor(t *testing.T) {
+// TestSessionStatsConcurrentRuns pins the concurrent accounting: a session
+// running numeric jobs and volume replays at the same time must count
+// every completed run exactly once.
+func TestSessionStatsConcurrentRuns(t *testing.T) {
 	s, err := New(WithRanks(4))
 	if err != nil {
 		t.Fatal(err)
@@ -408,13 +406,13 @@ func TestSessionStatsRunsByExecutor(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.Factorize(context.Background(), a) // auto -> goroutines
+			_, err := s.Factorize(context.Background(), a)
 			errs <- err
 		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.CommVolume(context.Background(), 24) // auto -> events
+			_, err := s.CommVolume(context.Background(), 24)
 			errs <- err
 		}()
 	}
@@ -428,23 +426,5 @@ func TestSessionStatsRunsByExecutor(t *testing.T) {
 	st := s.Stats()
 	if st.Runs != 2*k {
 		t.Fatalf("Runs = %d, want %d", st.Runs, 2*k)
-	}
-	if st.RunsByExecutor["goroutines"] != k || st.RunsByExecutor["events"] != k {
-		t.Fatalf("RunsByExecutor = %v, want %d each", st.RunsByExecutor, k)
-	}
-	sum := 0
-	for _, c := range st.RunsByExecutor {
-		sum += c
-	}
-	if sum != st.Runs {
-		t.Fatalf("RunsByExecutor sums to %d, Runs = %d", sum, st.Runs)
-	}
-	if st.RunsByExecutor[st.Executor] == 0 {
-		t.Fatalf("Executor = %q not present in RunsByExecutor %v", st.Executor, st.RunsByExecutor)
-	}
-	// The snapshot must not alias the live accounting.
-	st.RunsByExecutor["goroutines"] = -1
-	if s.Stats().RunsByExecutor["goroutines"] != k {
-		t.Fatal("Stats() returned an aliased RunsByExecutor map")
 	}
 }

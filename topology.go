@@ -39,8 +39,8 @@ func TopologyPreset(name string) (Topology, error) { return topo.PresetSpec(name
 // network topology instead of the flat α-β machine. The flat preset (and
 // the zero Topology) is pinned bit-identical to plain WithMachine; the
 // hierarchical, dragonfly, fat-tree, and contended models stay
-// deterministic across executors and event-window widths exactly like the
-// flat machine (DESIGN.md §14), so results remain cacheable by key.
+// deterministic across reps exactly like the flat machine (DESIGN.md §14),
+// so results remain cacheable by key.
 func WithTopology(t Topology) Option {
 	return func(c *sessionConfig) error {
 		if err := t.Validate(); err != nil {

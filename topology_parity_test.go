@@ -2,15 +2,13 @@ package conflux
 
 import (
 	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 )
 
-// volumeUnder runs one volume replay with the given options and strips the
-// executor provenance stamps (Executor, Workers) so reports can be
-// compared for bit-identical content across executors and widths. The
-// Topology stamp is kept — same-preset comparisons agree on it, and the
-// fault tests assert it.
+// volumeUnder runs one volume replay with the given options. The Topology
+// stamp is kept — same-preset comparisons agree on it, and the fault tests
+// assert it.
 func volumeUnder(t *testing.T, n int, opts ...Option) *VolumeReport {
 	t.Helper()
 	s, err := New(opts...)
@@ -21,30 +19,24 @@ func volumeUnder(t *testing.T, n int, opts ...Option) *VolumeReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Executor = ""
-	rep.Workers = 0
 	return rep
 }
 
 // TestFlatTopologyParity pins the tentpole's backward-compatibility edge:
 // the "flat" topology preset evaluates the exact float expression of the
 // plain α-β machine, so every engine's report is bit-identical with and
-// without it, at every event-window width. A single ulp of drift here
-// would split the planner cache and unpin every PR 2/6/7 parity suite.
+// without it. A single ulp of drift here would split the planner cache.
 func TestFlatTopologyParity(t *testing.T) {
 	n, p := 96, 8
 	for _, algo := range Engines() {
 		base := volumeUnder(t, n, WithRanks(p), WithAlgorithm(algo))
-		for _, w := range []int{1, 2, runtime.NumCPU()} {
-			flat := volumeUnder(t, n, WithRanks(p), WithAlgorithm(algo),
-				WithTopologyPreset("flat"), WithExecutor("events"), WithWorkers(w))
-			if flat.Time.Topology != "flat" {
-				t.Fatalf("%s workers=%d: topology stamp %q, want flat", algo, w, flat.Time.Topology)
-			}
-			flat.Time.Topology = "" // provenance; everything else must match bit-for-bit
-			if !reflect.DeepEqual(base, flat) {
-				t.Fatalf("%s workers=%d: flat topology is not bit-identical to the plain machine", algo, w)
-			}
+		flat := volumeUnder(t, n, WithRanks(p), WithAlgorithm(algo), WithTopologyPreset("flat"))
+		if flat.Time.Topology != "flat" {
+			t.Fatalf("%s: topology stamp %q, want flat", algo, flat.Time.Topology)
+		}
+		flat.Time.Topology = "" // provenance; everything else must match bit-for-bit
+		if !reflect.DeepEqual(base, flat) {
+			t.Fatalf("%s: flat topology is not bit-identical to the plain machine", algo)
 		}
 	}
 }
@@ -68,27 +60,40 @@ func TestFlatTopologyStamp(t *testing.T) {
 // TestTopologyWidthDeterminism is the §14 determinism pin: under every
 // non-flat preset — including the contended ones, whose FIFO ingress-link
 // state is the one piece of topology state mutated during a run — reports
-// are bit-identical across both executors and every event-window width.
-// Run under -race this also stresses that the link state is properly
-// serialized under the shard mutexes.
+// are bit-identical across repetitions and across the number of worlds
+// replayed concurrently (the width), with every rank of every world live
+// on its own goroutine. Run under -race this also stresses that the link
+// state is properly serialized under the shard mutexes.
 func TestTopologyWidthDeterminism(t *testing.T) {
 	n, p := 96, 8
 	for _, preset := range TopologyPresets() {
 		preset := preset
 		t.Run(preset, func(t *testing.T) {
 			t.Parallel()
-			base := volumeUnder(t, n, WithRanks(p), WithTopologyPreset(preset),
-				WithExecutor("events"), WithWorkers(1))
-			gor := volumeUnder(t, n, WithRanks(p), WithTopologyPreset(preset),
-				WithExecutor("goroutines"))
-			if !reflect.DeepEqual(base, gor) {
-				t.Fatal("goroutine executor diverged from the serial event executor")
-			}
-			for _, w := range []int{2, 4, runtime.NumCPU()} {
-				wide := volumeUnder(t, n, WithRanks(p), WithTopologyPreset(preset),
-					WithExecutor("events"), WithWorkers(w))
-				if !reflect.DeepEqual(base, wide) {
-					t.Fatalf("width %d diverged from the serial schedule", w)
+			base := volumeUnder(t, n, WithRanks(p), WithTopologyPreset(preset))
+			for _, width := range []int{1, 2, 4} {
+				reps := make([]*VolumeReport, width)
+				errs := make([]error, width)
+				var wg sync.WaitGroup
+				for i := range reps {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						s, err := New(WithRanks(p), WithTopologyPreset(preset))
+						if err == nil {
+							reps[i], err = s.CommVolume(t.Context(), n)
+						}
+						errs[i] = err
+					}()
+				}
+				wg.Wait()
+				for i, rep := range reps {
+					if errs[i] != nil {
+						t.Fatalf("width %d: replay %d: %v", width, i, errs[i])
+					}
+					if !reflect.DeepEqual(base, rep) {
+						t.Fatalf("width %d: replay %d diverged from the first run", width, i)
+					}
 				}
 			}
 		})
