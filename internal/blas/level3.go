@@ -93,50 +93,6 @@ func gemmAccum(alpha float64, a, b *mat.Matrix, c *mat.Matrix) {
 	}
 }
 
-// GemmMaskedRows is Gemm restricted to the rows i of A and C for which
-// active[i] is true. COnfLUX's row masking (paper §7.3) updates only
-// not-yet-pivoted rows in place of physically swapping them out. The
-// beta == 0 overwrite and no-zero-skip conventions match Gemm; inactive
-// rows are untouched (not even scaled), as before.
-func GemmMaskedRows(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix, active []bool) {
-	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
-		panic("blas: GemmMaskedRows shape mismatch")
-	}
-	if len(active) != a.Rows {
-		panic("blas: GemmMaskedRows mask length mismatch")
-	}
-	if a.Phantom() || b.Phantom() || c.Phantom() {
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		if !active[i] {
-			continue
-		}
-		arow, crow := a.Row(i), c.Row(i)
-		switch beta {
-		case 1:
-		case 0:
-			for j := range crow {
-				crow[j] = 0
-			}
-		default:
-			for j := range crow {
-				crow[j] *= beta
-			}
-		}
-		if alpha == 0 {
-			continue
-		}
-		for k := 0; k < a.Cols; k++ {
-			aik := alpha * arow[k]
-			brow := b.Row(k)
-			for j := range crow {
-				crow[j] += aik * brow[j]
-			}
-		}
-	}
-}
-
 // TrsmLowerLeft solves L*X = B in place (B becomes X) where L is unit or
 // non-unit lower triangular. This is the "FactorizeA01" kernel: columns of
 // the pivot-row panel are solved against L00. Large systems run blocked
@@ -234,33 +190,6 @@ func TrsmUpperRight(u *mat.Matrix, b *mat.Matrix) {
 func trsmUpperRightUnb(u *mat.Matrix, b *mat.Matrix) {
 	n := u.Cols
 	for i := 0; i < b.Rows; i++ {
-		bi := b.Row(i)
-		for j := 0; j < n; j++ {
-			s := bi[j]
-			for k := 0; k < j; k++ {
-				s -= bi[k] * u.At(k, j)
-			}
-			bi[j] = s / u.At(j, j)
-		}
-	}
-}
-
-// TrsmUpperRightMasked applies TrsmUpperRight only to rows with active[i].
-func TrsmUpperRightMasked(u *mat.Matrix, b *mat.Matrix, active []bool) {
-	if len(active) != b.Rows {
-		panic("blas: TrsmUpperRightMasked mask length mismatch")
-	}
-	if u.Phantom() || b.Phantom() {
-		return
-	}
-	n := u.Cols
-	if u.Rows != u.Cols || n != b.Cols {
-		panic("blas: TrsmUpperRightMasked shape mismatch")
-	}
-	for i := 0; i < b.Rows; i++ {
-		if !active[i] {
-			continue
-		}
 		bi := b.Row(i)
 		for j := 0; j < n; j++ {
 			s := bi[j]

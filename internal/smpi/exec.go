@@ -201,5 +201,4 @@ func (w *World) reclaim() {
 		}
 		mb.mu.Unlock()
 	}
-	dropWindowRegistry(w)
 }

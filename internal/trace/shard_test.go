@@ -16,8 +16,7 @@ type stamped struct {
 
 // runStressSchedule executes a fixed deterministic schedule on tl: every
 // rank injects `rounds` sends (one per peer offset, mixed timed/untimed
-// phases), then matches its inbound messages in fixed order, then issues a
-// one-sided Get. When concurrent is true each rank runs on its own
+// phases), then matches its inbound messages in fixed order. When concurrent is true each rank runs on its own
 // goroutine — deliveries from disjoint rank pairs race on the timeline;
 // when false the same per-rank program orders execute single-threaded, as
 // the pre-shard global-mutex timeline would have serialized them.
@@ -49,7 +48,6 @@ func runStressSchedule(tl *Timeline, p, rounds int, concurrent bool) {
 			m := <-ch[key{from, r}]
 			tl.RecordRecv(from, r, m.bytes, phases[k%len(phases)], m.st)
 		}
-		tl.RecordOneSided(r, (r+1)%p, r, 256, "rma")
 	}
 	if !concurrent {
 		for r := 0; r < p; r++ {

@@ -68,8 +68,7 @@ type Topology interface {
 // Event is one matched point-to-point delivery on the simulated machine.
 // Phase is the sending rank's phase label at send time. SendTime is the
 // sender's logical clock when the injection completed; RecvTime the
-// receiver's clock when the delivery completed. One-sided (RMA) transfers
-// appear with SendTime == RecvTime: only the origin's clock advances.
+// receiver's clock when the delivery completed.
 type Event struct {
 	From, To int
 	Bytes    int64
@@ -93,14 +92,13 @@ const DefaultEventCap = 1 << 20
 // serialization point at paper scale (P = 1,024 ranks delivering tens of
 // millions of messages).
 //
-// Lock-free fields: sent/recv/msgs are atomics because RecordOneSided
-// attributes volume to ranks other than the one whose mutex it holds (a Get
-// meters bytes sent by the passive target). Everything else on a shard is
-// written only under its mutex, and only clock-carrying operations of this
-// rank take it.
+// Lock-free fields: sent/recv/msgs are atomics because RecordSend adds the
+// receiver's received bytes from the sender's goroutine, without the
+// receiver's mutex. Everything else on a shard is written only under
+// its mutex, and only clock-carrying operations of this rank take it.
 // phaseStat is one phase's attribution on one shard: the bytes/msgs this
-// rank originated under the label, and the busy time it accrued in it (send,
-// recv, and one-sided sides alike). A rank touches a handful of phases, so
+// rank originated under the label, and the busy time it accrued in it (send
+// and recv sides alike). A rank touches a handful of phases, so
 // the stats live in a small slice scanned linearly — one lookup per record
 // where the map-based layout paid three hashes plus the untimed-set probe
 // (timed is resolved once, when the label first appears on the shard).
@@ -117,7 +115,7 @@ type shard struct {
 
 	// Volume aggregates — exactly the state the pre-timeline Counter kept
 	// per rank, so the merged Report() stays byte-identical. Atomics
-	// because RecordOneSided attributes volume across shards (see below).
+	// because recv is added lock-free by the sender (see above).
 	sent atomic.Int64
 	recv atomic.Int64
 	msgs atomic.Int64
@@ -143,8 +141,7 @@ type shard struct {
 	// (DESIGN.md §14). Stays 0 under a nil or uncontended topology.
 	linkFree float64
 
-	// Events this rank completed (received, or originated one-sided), in
-	// its program order. Retention is globally capped; see appendEvent.
+	// Events this rank completed (received), in its program order. Retention is globally capped; see appendEvent.
 	events  []Event
 	dropped int64
 
@@ -352,47 +349,9 @@ func (t *Timeline) RecordRecv(from, to int, bytes int64, phase string, sendTime 
 	s.mu.Unlock()
 }
 
-// RecordOneSided meters an RMA transfer of bytes from → to whose time cost
-// is charged to the active rank only (the origin of a Put or Get; the
-// target is passive, per MPI one-sided semantics). Volume is attributed
-// from → to exactly like a send; the event is retained on the active
-// rank's shard.
-func (t *Timeline) RecordOneSided(active, from, to int, bytes int64, phase string) {
-	t.shards[from].sent.Add(bytes)
-	t.shards[from].msgs.Add(1)
-	t.shards[to].recv.Add(bytes)
-	a := &t.shards[active]
-	a.mu.Lock()
-	ps := a.phase(phase, t.untimed)
-	ps.bytes += bytes
-	ps.msgs++
-	if ps.timed {
-		// The origin is the only rank whose clock advances; a Get
-		// (active == to) pays the receiver-side occupancy, a Put the
-		// sender-side. One-sided transfers involve no matching, so they
-		// never touch the FIFO ingress-link state.
-		var d float64
-		switch {
-		case t.topo != nil && active == to:
-			d = t.topo.RecvCost(from, to, bytes)
-		case t.topo != nil:
-			d = t.topo.SendCost(from, to, bytes)
-		default:
-			d = t.cost(bytes)
-		}
-		a.clock += d
-		a.busy += d
-		ps.busy += d
-		a.timedMsgs++
-	}
-	t.appendEvent(a, Event{From: from, To: to, Bytes: bytes, Phase: phase,
-		SendTime: a.clock, RecvTime: a.clock})
-	a.mu.Unlock()
-}
-
 // Events returns a copy of the retained (matched) events, merged
-// deterministically: grouped by the rank that completed them (the receiver
-// for two-sided deliveries, the origin for one-sided), ranks ascending,
+// deterministically: grouped by the rank that completed them (the
+// receiver), ranks ascending,
 // each rank's events in its program order. Per-rank program order is fixed
 // by the schedule, so the merged sequence is identical across replays of a
 // deterministic run regardless of goroutine interleaving. Retention is

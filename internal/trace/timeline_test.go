@@ -90,20 +90,6 @@ func TestEventCap(t *testing.T) {
 	}
 }
 
-func TestOneSidedChargesActiveRankOnly(t *testing.T) {
-	m := Machine{Alpha: 1, Beta: 0}
-	tl := NewTimeline(3, m)
-	// A Get by origin 2 from target 0: volume 0→2, time charged to 2 only.
-	tl.RecordOneSided(2, 0, 2, 64, "rma")
-	r := tl.Report()
-	if r.Sent[0] != 64 || r.Recv[2] != 64 || r.Msgs[0] != 1 {
-		t.Fatalf("volume attribution: sent=%v recv=%v msgs=%v", r.Sent, r.Recv, r.Msgs)
-	}
-	if r.Time.Clock[0] != 0 || !almost(r.Time.Clock[2], 1) {
-		t.Fatalf("passive target clock moved: %v", r.Time.Clock)
-	}
-}
-
 func TestReportParityWithEventReplay(t *testing.T) {
 	// The volume aggregates derived from the timeline must equal an
 	// independent replay of its matched events (every delivery in these

@@ -36,7 +36,6 @@ func TestFlatTopologyBitParity(t *testing.T) {
 		tl.RecordRecv(0, 1, 4096, "pivot", st)
 		st = tl.RecordSend(1, 2, 123, "update")
 		tl.RecordRecv(1, 2, 123, "update", st)
-		tl.RecordOneSided(2, 2, 0, 999, "update")
 		st = tl.RecordSend(2, 1, 77, "pivot")
 		tl.RecordRecv(2, 1, 77, "pivot", st)
 	}
@@ -100,17 +99,3 @@ func TestIngressLinkFIFO(t *testing.T) {
 	}
 }
 
-// TestOneSidedSkipsIngressLink: RMA transfers never touch the FIFO
-// link state — a Get after a saturating two-sided burst pays only its
-// own cost.
-func TestOneSidedSkipsIngressLink(t *testing.T) {
-	tl := NewTimeline(2, Machine{})
-	tl.SetTopology(contendedStub{cost: 1, occ: 50})
-	st := tl.RecordSend(0, 1, 10, "pivot")
-	tl.RecordRecv(0, 1, 10, "pivot", st) // link busy until 51
-	before := tl.Clock(1)
-	tl.RecordOneSided(1, 0, 1, 10, "pivot") // Get: active == to
-	if got := tl.Clock(1); got != before+1 {
-		t.Fatalf("one-sided advanced clock to %v, want %v (no link wait)", got, before+1)
-	}
-}
