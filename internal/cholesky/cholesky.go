@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/blas"
 	"repro/internal/dist"
@@ -168,6 +170,7 @@ type engine struct {
 	ac              *smpi.Comm
 	fiber           *smpi.Comm
 	store           *dist.Store
+	rows            *dist.RowIndex // rows below the factored panels
 
 	l00   *mat.Matrix
 	parts map[int]panelPart // received panel parts, keyed by grid row
@@ -180,17 +183,17 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	e.ac = e.world.Sub("active", e.g.ActiveComm())
 	e.fiber = e.ac.Sub(fmt.Sprintf("fiber.%d.%d", e.row, e.col), e.g.FiberComm(e.row, e.col))
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())
+	e.rows = dist.NewRowIndex(e.opt.N, e.opt.V, e.g.Pr)
 	if e.layer == 0 {
 		dist.Scatter(e.world, 0, a, e.g, e.store)
 	}
 
 	nt := e.bc.Tiles()
 	for t := 0; t < nt; t++ {
-		stack, rows, err := e.panelStep(t)
-		if err != nil {
+		if err := e.panelStep(t); err != nil {
 			return nil, err
 		}
-		e.distributePanel(t, stack, rows)
+		e.distributePanel(t)
 		e.update(t)
 	}
 
@@ -217,133 +220,85 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	return res, nil
 }
 
-// rowsInGridRow lists rows >= lo in grid row gr (tile-based iteration).
-func (e *engine) rowsInGridRow(gr, lo int) []int {
-	var out []int
-	v := e.opt.V
-	for ti := lo / v; ti*v < e.opt.N; ti++ {
-		if ti%e.g.Pr != gr {
-			continue
-		}
-		start, end := ti*v, (ti+1)*v
-		if start < lo {
-			start = lo
-		}
-		if end > e.opt.N {
-			end = e.opt.N
-		}
-		for r := start; r < end; r++ {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // panelStep reduces block column t across layers, factors the diagonal
-// block, broadcasts L00, and solves the sub-diagonal panel rows.
-func (e *engine) panelStep(t int) (*mat.Matrix, []int, error) {
+// block, broadcasts L00, and solves and stores the sub-diagonal panel rows
+// at the layer-0 column owners. The panel's slots [t·v, t·v+w) then leave
+// the active-row index.
+func (e *engine) panelStep(t int) error {
 	e.ac.SetPhase(e.opt.Name + ".panel")
 	_, w := e.bc.TileDims(t, t)
+	col := e.store.Column(t)
 	var stack *mat.Matrix
 	var rows []int
 	if e.col == e.bc.OwnerCol(t) {
-		rows = e.rowsInGridRow(e.row, t*e.opt.V)
-		if len(rows) > 0 {
-			stack = e.store.NewBuffer(len(rows), w)
-			if e.store.Payload() {
-				for i, r := range rows {
-					ti := r / e.opt.V
-					stack.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-				}
-			}
-			e.fiber.ReduceMatSum(0, stack)
-			if e.layer != 0 && e.store.Payload() {
-				zero := mat.New(1, w)
-				for _, r := range rows {
-					ti := r / e.opt.V
-					e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(zero)
-				}
-			}
-		}
+		rows = e.rows.Rows(e.row)
+		stack = dist.ReduceRows(e.fiber, e.store, col, rows)
 	}
 	diagOwner := e.g.Rank(e.bc.OwnerRow(t), e.bc.OwnerCol(t), 0)
 	e.l00 = e.store.NewBuffer(w, w)
 	if e.world.Rank() == diagOwner {
-		if e.store.Payload() && stack != nil {
-			found := false
-			for i, r := range rows {
-				if r == t*e.opt.V {
-					e.l00.CopyFrom(stack.View(i, 0, w, w))
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("cholesky: diagonal block missing at owner")
-			}
+		// The reduced diagonal block sits in my tile (t, t).
+		if e.store.Payload() {
+			e.l00.CopyFrom(e.store.Tile(t, t))
 		}
 		if err := Potrf(e.l00); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	e.ac.BcastMat(diagOwner, e.l00)
 
-	// Solve and store the panel at layer-0 column owners.
-	if e.layer == 0 && e.col == e.bc.OwnerCol(t) && stack != nil && e.store.Payload() {
-		for i, r := range rows {
-			ti := r / e.opt.V
-			dst := e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w)
-			if r < t*e.opt.V+w {
-				dst.CopyFrom(e.l00.View(r-t*e.opt.V, 0, 1, w))
-				stack.View(i, 0, 1, w).CopyFrom(dst) // keep stack consistent
-				continue
-			}
-			seg := stack.View(i, 0, 1, w)
-			TrsmRightLowerT(e.l00, seg)
-			dst.CopyFrom(seg)
+	// My rows of tile row t (if I own it) lead the list and become L00;
+	// the rest are solved against L00ᵀ.
+	if stack != nil && e.store.Payload() {
+		k := sort.SearchInts(rows, t*e.opt.V+w)
+		if k > 0 {
+			stack.View(0, 0, k, w).CopyFrom(e.l00)
 		}
+		TrsmRightLowerT(e.l00, stack.View(k, 0, len(rows)-k, w))
+		e.store.Unpack(col, rows, stack)
 	}
-	return stack, rows, nil
+	slots := make([]int, w)
+	for i := range slots {
+		slots[i] = t*e.opt.V + i
+	}
+	e.rows.Retire(slots)
+	return nil
 }
 
 // distributePanel broadcasts each grid row's solved panel part to the
 // assigned layer's consumers: the matching consumer ROW (for the L side) and
 // the matching consumer COLUMN (for the Lᵀ side; grid column index == grid
 // row index because layers are square).
-func (e *engine) distributePanel(t int, stack *mat.Matrix, rows []int) {
+func (e *engine) distributePanel(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-bcast")
 	e.parts = map[int]panelPart{}
 	_, w := e.bc.TileDims(t, t)
-	lo := t*e.opt.V + w
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
+	col := e.store.Column(t)
 	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.rowsInGridRow(gr, lo)
+		grRows := e.rows.Rows(gr)
 		owner := e.g.Rank(gr, ownerCol, 0)
 		members := []int{owner}
 		for y := 0; y < e.g.Pc; y++ {
-			if r := e.g.Rank(gr, y, lstar); r != owner && !member(members, r) {
+			if r := e.g.Rank(gr, y, lstar); !slices.Contains(members, r) {
 				members = append(members, r)
 			}
 		}
 		for x := 0; x < e.g.Pr; x++ {
-			if r := e.g.Rank(x, gr, lstar); r != owner && !member(members, r) {
+			if r := e.g.Rank(x, gr, lstar); !slices.Contains(members, r) {
 				members = append(members, r)
 			}
 		}
-		if !member(members, e.world.Rank()) {
+		if !slices.Contains(members, e.world.Rank()) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("chol.%d.%d", t, gr), members)
-		buf := e.store.NewBuffer(len(grRows), w)
-		if owner == e.world.Rank() && stack != nil && e.store.Payload() {
-			idx := map[int]int{}
-			for i, r := range rows {
-				idx[r] = i
-			}
-			for i, r := range grRows {
-				buf.View(i, 0, 1, w).CopyFrom(stack.View(idx[r], 0, 1, w))
-			}
+		var buf *mat.Matrix
+		if owner == e.world.Rank() {
+			buf = e.store.Pack(col, grRows) // the solved panel rows
+		} else {
+			buf = e.store.NewBuffer(len(grRows), w)
 		}
 		if len(grRows) > 0 {
 			comm.BcastMat(0, buf)
@@ -367,48 +322,23 @@ func (e *engine) update(t int) {
 	if !okR || !okC || len(rowPart.rows) == 0 || len(colPart.rows) == 0 {
 		return
 	}
-	w := rowPart.data.Cols
-	rowIdx := make(map[int]int, len(rowPart.rows))
-	for i, r := range rowPart.rows {
-		rowIdx[r] = i
+	if !e.store.Payload() {
+		return // local arithmetic only, like SchurUpdate in volume mode
 	}
-	colIdx := make(map[int]int, len(colPart.rows))
-	for i, r := range colPart.rows {
-		colIdx[r] = i
+	// The Lᵀ side, by symmetry: each local column tile's panel rows, once
+	// per panel.
+	cols := e.bc.LocalTileCols(e.col, t+1)
+	blocks := make([]*mat.Matrix, len(cols))
+	for k, tj := range cols {
+		blocks[k] = e.store.MaskedTile(tj, colPart.data, colPart.rows)
 	}
-	for _, ti := range e.bc.LocalTileRows(e.row, t+1) {
-		h, _ := e.bc.TileDims(ti, ti)
-		tileL := e.store.NewBuffer(h, w)
-		any := false
-		for lr := 0; lr < h; lr++ {
-			if i, ok := rowIdx[ti*e.opt.V+lr]; ok {
-				any = true
-				if e.store.Payload() {
-					tileL.View(lr, 0, 1, w).CopyFrom(rowPart.data.View(i, 0, 1, w))
-				}
+	e.store.SchurUpdate(t+1, rowPart.data, rowPart.rows, func(ti int, lt *mat.Matrix) {
+		for k, tj := range cols {
+			if blocks[k] != nil {
+				gemmNT(-1, lt, blocks[k], e.store.Tile(ti, tj))
 			}
 		}
-		if !any {
-			continue
-		}
-		for _, tj := range e.bc.LocalTileCols(e.col, t+1) {
-			_, cw := e.bc.TileDims(tj, tj)
-			colBlock := e.store.NewBuffer(cw, w)
-			anyC := false
-			for lc := 0; lc < cw; lc++ {
-				if i, ok := colIdx[tj*e.opt.V+lc]; ok {
-					anyC = true
-					if e.store.Payload() {
-						colBlock.View(lc, 0, 1, w).CopyFrom(colPart.data.View(i, 0, 1, w))
-					}
-				}
-			}
-			if !anyC {
-				continue
-			}
-			gemmNT(-1, tileL, colBlock, e.store.Tile(ti, tj))
-		}
-	}
+	})
 }
 
 // gemmNT computes C += alpha·A·Bᵀ.
@@ -425,13 +355,4 @@ func gemmNT(alpha float64, a, b, c *mat.Matrix) {
 			cr[j] += alpha * blas.Dot(ar, b.Row(j))
 		}
 	}
-}
-
-func member(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -2,32 +2,13 @@ package conflux
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
+	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/mat"
 )
-
-// colLayout describes the tile columns tj > t owned by one grid column,
-// with their offsets in the concatenated A01 stack.
-type colLayout struct {
-	tjs    []int
-	offs   []int
-	widths []int
-	total  int
-}
-
-func (e *engine) colsAfter(y, t int) colLayout {
-	tjs := e.bc.LocalTileCols(y, t+1)
-	cl := colLayout{tjs: tjs, offs: make([]int, len(tjs)), widths: make([]int, len(tjs))}
-	for i, tj := range tjs {
-		_, w := e.bc.TileDims(tj, tj)
-		cl.offs[i] = cl.total
-		cl.widths[i] = w
-		cl.total += w
-	}
-	return cl
-}
 
 // pivotGroups buckets this step's pivot rows by owning grid row, keeping the
 // factor order within each bucket. Every rank computes the same grouping.
@@ -40,39 +21,6 @@ func (e *engine) pivotGroups() map[int][]int {
 	return groups
 }
 
-// stackPivotSegments extracts the given pivot rows across the columns of cl
-// from the local store.
-func (e *engine) stackPivotSegments(rows []int, cl colLayout) *mat.Matrix {
-	stack := e.store.NewBuffer(len(rows), cl.total)
-	if !e.store.Payload() {
-		return stack
-	}
-	for i, r := range rows {
-		ti := r / e.opt.V
-		lr := r - ti*e.opt.V
-		for k, tj := range cl.tjs {
-			stack.View(i, cl.offs[k], 1, cl.widths[k]).
-				CopyFrom(e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]))
-		}
-	}
-	return stack
-}
-
-// writePivotSegments stores a stack of pivot-row segments back into tiles.
-func (e *engine) writePivotSegments(rows []int, cl colLayout, stack *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	for i, r := range rows {
-		ti := r / e.opt.V
-		lr := r - ti*e.opt.V
-		for k, tj := range cl.tjs {
-			e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]).
-				CopyFrom(stack.View(i, cl.offs[k], 1, cl.widths[k]))
-		}
-	}
-}
-
 // factorizeA01 implements Algorithm 1 steps 5/6/9/10 for the pivot-row
 // panel: reduce the w pivot rows across layers (step 5), assemble them per
 // grid column, solve L00·U01 = A01 (step 9), write the U values back to
@@ -80,25 +28,16 @@ func (e *engine) writePivotSegments(rows []int, cl colLayout, stack *mat.Matrix)
 // layer's consumer column (step 10).
 func (e *engine) factorizeA01(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-a01")
-	e.a01, e.a01Tjs = nil, nil
+	e.a01 = nil
 	w := len(e.pivIDs)
-	cl := e.colsAfter(e.col, t)
+	seg := e.store.SegmentsFrom(t + 1)
 	groups := e.pivotGroups()
 	lstar := t % e.g.Layers
 
 	// Step 5: fiber reduction of my grid row's pivot segments.
 	myRows := groups[e.row]
-	var reduced *mat.Matrix
-	if len(myRows) > 0 && cl.total > 0 {
-		stack := e.stackPivotSegments(myRows, cl)
-		e.fiber.ReduceMatSum(0, stack)
-		if e.layer == 0 {
-			reduced = stack
-		} else if e.store.Payload() {
-			e.writePivotSegments(myRows, cl, mat.New(len(myRows), cl.total))
-		}
-	}
-	if cl.total == 0 {
+	reduced := dist.ReduceRows(e.fiber, e.store, seg, myRows)
+	if seg.Total == 0 {
 		return
 	}
 
@@ -108,24 +47,27 @@ func (e *engine) factorizeA01(t int) {
 	const gatherTag, backTag = 101, 102
 	if e.layer == 0 {
 		if e.world.Rank() == asmRank {
-			asm = e.store.NewBuffer(w, cl.total)
-			idx := indexOf(e.pivIDs)
+			asm = e.store.NewBuffer(w, seg.Total)
+			idx := make(map[int]int, w)
+			for i, r := range e.pivIDs {
+				idx[r] = i
+			}
 			for gr := 0; gr < e.g.Pr; gr++ {
 				rows := groups[gr]
 				if len(rows) == 0 {
 					continue
 				}
-				part := e.store.NewBuffer(len(rows), cl.total)
+				part := e.store.NewBuffer(len(rows), seg.Total)
 				if e.g.Rank(gr, e.col, 0) == asmRank {
 					if reduced != nil {
 						part = reduced
 					}
 				} else {
-					e.ac.RecvMat(acIndex(e.g, gr, e.col, 0), gatherTag+gr, part)
+					e.ac.RecvMat(e.g.Rank(gr, e.col, 0), gatherTag+gr, part)
 				}
 				if e.store.Payload() {
 					for i, r := range rows {
-						asm.View(idx[r], 0, 1, cl.total).CopyFrom(part.View(i, 0, 1, cl.total))
+						asm.View(idx[r], 0, 1, seg.Total).CopyFrom(part.View(i, 0, 1, seg.Total))
 					}
 				}
 			}
@@ -137,39 +79,39 @@ func (e *engine) factorizeA01(t int) {
 				if len(rows) == 0 {
 					continue
 				}
-				part := e.store.NewBuffer(len(rows), cl.total)
+				part := e.store.NewBuffer(len(rows), seg.Total)
 				if e.store.Payload() {
 					for i, r := range rows {
-						part.View(i, 0, 1, cl.total).CopyFrom(asm.View(idx[r], 0, 1, cl.total))
+						part.View(i, 0, 1, seg.Total).CopyFrom(asm.View(idx[r], 0, 1, seg.Total))
 					}
 				}
 				if e.g.Rank(gr, e.col, 0) == asmRank {
-					e.writePivotSegments(rows, cl, part)
+					e.store.Unpack(seg, rows, part)
 				} else {
-					e.ac.SendMat(acIndex(e.g, gr, e.col, 0), backTag+gr, part)
+					e.ac.SendMat(e.g.Rank(gr, e.col, 0), backTag+gr, part)
 				}
 			}
 		} else if len(myRows) > 0 {
-			e.ac.SendMat(acIndex(e.g, 0, e.col, 0), gatherTag+e.row, reduced)
-			back := e.store.NewBuffer(len(myRows), cl.total)
-			e.ac.RecvMat(acIndex(e.g, 0, e.col, 0), backTag+e.row, back)
-			e.writePivotSegments(myRows, cl, back)
+			e.ac.SendMat(asmRank, gatherTag+e.row, reduced)
+			back := e.store.NewBuffer(len(myRows), seg.Total)
+			e.ac.RecvMat(asmRank, backTag+e.row, back)
+			e.store.Unpack(seg, myRows, back)
 		}
 	}
 
 	// Step 10: broadcast the solved panel to the assigned layer's consumers.
 	members, rootIdx := a01Members(e.g, e.col, lstar)
-	if !contains(members, e.world.Rank()) {
+	if !slices.Contains(members, e.world.Rank()) {
 		return
 	}
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
 	buf := asm
 	if buf == nil {
-		buf = e.store.NewBuffer(w, cl.total)
+		buf = e.store.NewBuffer(w, seg.Total)
 	}
 	comm.BcastMat(rootIdx, buf)
 	if e.layer == lstar {
-		e.a01, e.a01Tjs = buf, cl.tjs
+		e.a01 = buf
 	}
 }
 
@@ -187,45 +129,13 @@ func a01Members(g grid.Grid, y, lstar int) (members []int, rootIdx int) {
 	return members, 0
 }
 
-// acIndex maps grid coordinates to the rank index within the active
-// communicator (identical to the world rank for active ranks, since the
-// active communicator lists world ranks 0..Used()-1 in order).
-func acIndex(g grid.Grid, row, col, layer int) int {
-	return g.Rank(row, col, layer)
-}
-
 // update implements step 11 (FactorizeA11): the assigned layer applies the
-// Schur-complement update to its accumulator tiles, masked to active rows.
+// Schur-complement update to its accumulator tiles, masked to the active
+// rows it holds L10 values for.
 func (e *engine) update(t int) {
 	e.ac.SetPhase(e.opt.Name + ".update")
 	if e.layer != t%e.g.Layers || e.a01 == nil || e.a10 == nil || len(e.a10IDs) == 0 {
 		return
 	}
-	w := len(e.pivIDs)
-	cl := e.colsAfter(e.col, t)
-	idx := indexOf(e.a10IDs)
-	for _, ti := range e.bc.LocalTileRows(e.row, 0) {
-		h, _ := e.bc.TileDims(ti, ti)
-		tileL := e.store.NewBuffer(h, w)
-		any := false
-		for lr := 0; lr < h; lr++ {
-			r := ti*e.opt.V + lr
-			if r >= e.opt.N {
-				break
-			}
-			if i, ok := idx[r]; ok {
-				any = true
-				if e.store.Payload() {
-					tileL.View(lr, 0, 1, w).CopyFrom(e.a10.View(i, 0, 1, w))
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		for k, tj := range cl.tjs {
-			a01seg := e.a01.View(0, cl.offs[k], w, cl.widths[k])
-			blas.Gemm(-1, tileL, a01seg, 1, e.store.Tile(ti, tj))
-		}
-	}
+	e.store.UpdateLU(0, e.a10, e.a10IDs, e.a01, e.store.SegmentsFrom(t+1))
 }

@@ -2,6 +2,7 @@ package conflux
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/dist"
@@ -53,9 +54,8 @@ type engine struct {
 	tourn           *smpi.Comm // layer-0 column communicator (nil off layer 0)
 	store           *dist.Store
 
-	mask        []bool // mask[r]: physical row r not yet chosen as pivot
-	perm        []int
-	activeByRow [][]int // per-step cache: active rows per grid row
+	rows *dist.RowIndex // rows not yet chosen as pivots — the row mask
+	perm []int
 
 	// Per-step caches.
 	a00    *mat.Matrix // factored w×w diagonal block (L00\U00)
@@ -63,7 +63,6 @@ type engine struct {
 	a10    *mat.Matrix // consumer copy: L10 rows for my grid row
 	a10IDs []int
 	a01    *mat.Matrix // consumer copy: U01 for my grid-column tile cols
-	a01Tjs []int
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {
@@ -76,26 +75,19 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 		e.tourn = e.ac.Sub(fmt.Sprintf("tourn.%d", e.col), e.g.ColComm(e.col, 0))
 	}
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())
-	e.mask = make([]bool, e.opt.N)
-	for i := range e.mask {
-		e.mask[i] = true
-	}
-	e.activeByRow = nil // rebuilt from the fresh mask on first refresh
+	e.rows = dist.NewRowIndex(e.opt.N, e.opt.V, e.g.Pr)
 	if e.layer == 0 {
 		dist.Scatter(e.world, 0, a, e.g, e.store)
 	}
 
 	nt := e.bc.Tiles()
 	for t := 0; t < nt; t++ {
-		e.refreshActive()
-		stack, rows := e.reduceColumn(t)
-		if err := e.tournament(t, stack, rows); err != nil {
+		if err := e.selectPivots(t); err != nil {
 			return nil, err
 		}
 		e.broadcastA00(t)
 		e.retirePivots()
-		e.refreshActive() // pivot rows left the active set
-		e.factorizeA10(t, stack, rows)
+		e.factorizeA10(t)
 		e.factorizeA01(t)
 		e.update(t)
 	}
@@ -122,126 +114,25 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	return res, nil
 }
 
-// refreshActive maintains the per-grid-row active lists; every consumer
-// within a step reads the cache (the naive per-call scan was O(N·Pr) per
-// step and dominated paper-scale volume runs). The mask only ever clears
-// (rows retire as pivots, none return), so after the initial O(N) build
-// each refresh just filters the surviving entries in place — O(active),
-// which shrinks to nothing as the factorization drains the row set.
-func (e *engine) refreshActive() {
-	if e.activeByRow == nil {
-		e.activeByRow = make([][]int, e.g.Pr)
-		for r := 0; r < e.opt.N; r++ {
-			if e.mask[r] {
-				gr := (r / e.opt.V) % e.g.Pr
-				e.activeByRow[gr] = append(e.activeByRow[gr], r)
-			}
-		}
-		return
-	}
-	for gr, rows := range e.activeByRow {
-		live := rows[:0]
-		for _, r := range rows {
-			if e.mask[r] {
-				live = append(live, r)
-			}
-		}
-		e.activeByRow[gr] = live
-	}
-}
-
-// activeRowsInGridRow lists (ascending) the physical rows still active that
-// live in grid row gr under the cyclic tile distribution.
-func (e *engine) activeRowsInGridRow(gr int) []int {
-	return e.activeByRow[gr]
-}
-
-// stackColumnRows copies the given physical rows of tile column t out of the
-// local store into a dense stack.
-func (e *engine) stackColumnRows(t int, rows []int) *mat.Matrix {
-	_, w := e.bc.TileDims(t, t)
-	stack := e.store.NewBuffer(len(rows), w)
-	if e.store.Payload() {
-		for i, r := range rows {
-			ti := r / e.opt.V
-			stack.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-		}
-	}
-	return stack
-}
-
-// unstackColumnRows writes a stack back into tile column t.
-func (e *engine) unstackColumnRows(t int, rows []int, stack *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	_, w := e.bc.TileDims(t, t)
-	for i, r := range rows {
-		ti := r / e.opt.V
-		e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(stack.View(i, 0, 1, w))
-	}
-}
-
-// reduceColumn implements Algorithm 1 step 1 ("Reduce next block column"):
-// the active rows of tile column t are summed across the c layers onto the
-// layer-0 owners. Non-root layers zero their consumed contributions.
-// Returns the reduced stack and its row list (meaningful on layer-0 owners).
-func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
+// selectPivots runs Algorithm 1 steps 1–2 on the owners of tile column t.
+// Step 1 ("Reduce next block column") sums the column's active rows across
+// the c layers onto layer 0. Step 2 (TournPivot) plays the tournament over
+// layer 0, after which every participant holds the w winners and the
+// factored A00.
+func (e *engine) selectPivots(t int) error {
+	e.pivIDs, e.a00 = nil, nil
 	if e.col != e.bc.OwnerCol(t) {
-		return nil, nil
+		return nil
 	}
 	e.ac.SetPhase(e.opt.Name + ".reduce-col")
-	// Copy: the cache backing array is rewritten by the post-retire refresh,
-	// but this list must stay valid through factorizeA10.
-	rows := append([]int(nil), e.activeRowsInGridRow(e.row)...)
-	if len(rows) == 0 {
-		return nil, rows
-	}
-	stack := e.stackColumnRows(t, rows)
-	e.fiber.ReduceMatSum(0, stack)
-	if e.layer == 0 {
-		e.unstackColumnRows(t, rows, stack)
-		return stack, rows
-	}
-	// Contributions consumed: zero the accumulator entries.
-	if e.store.Payload() {
-		_, w := e.bc.TileDims(t, t)
-		zero := mat.New(len(rows), w)
-		e.unstackColumnRows(t, rows, zero)
-	}
-	return nil, nil
-}
-
-// tournament implements step 2 (TournPivot): local candidate selection by
-// LU, then ⌈log₂ Pr⌉ butterfly "playoff" rounds exchanging w×w candidate
-// blocks (paper §7.3), after which every participant holds the w winners and
-// the factored A00.
-func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
-	e.pivIDs = nil
-	e.a00 = nil
-	if e.layer != 0 || e.col != e.bc.OwnerCol(t) {
+	rows := e.rows.Rows(e.row)
+	stack := dist.ReduceRows(e.fiber, e.store, e.store.Column(t), rows)
+	if e.layer != 0 {
 		return nil
 	}
 	e.ac.SetPhase(e.opt.Name + ".pivot")
 	_, w := e.bc.TileDims(t, t)
-	local := lapackCandidates(stack, rows)
-	win, err := selectCands(local, w)
-	if err != nil {
-		return err
-	}
-	res := e.tourn.Butterfly(encodeCands(win, w), func(mine, theirs smpi.Msg) smpi.Msg {
-		merged := mergeCands(decodeCands(mine, w), decodeCands(theirs, w))
-		next, err := selectCands(merged, w)
-		if err != nil {
-			panic(err) // converted to a run error by the runtime
-		}
-		return encodeCands(next, w)
-	})
-	winners := decodeCands(res, w)
-	if len(winners.IDs) < w {
-		return fmt.Errorf("conflux: only %d active rows for a %d-wide panel", len(winners.IDs), w)
-	}
-	a00, ids, err := factorA00(winners)
+	a00, ids, err := dist.Tournament(e.tourn, stack, rows, w)
 	if err != nil {
 		return err
 	}
@@ -274,14 +165,11 @@ func (e *engine) broadcastA00(t int) {
 }
 
 // retirePivots applies the row mask (§7.3: "we keep track which rows were
-// chosen as pivots and we use masks to update remaining rows").
+// chosen as pivots and we use masks to update remaining rows"): the pivot
+// rows leave the active-row index wherever they sit, and are recorded in
+// the pivot order. Rows are never moved.
 func (e *engine) retirePivots() {
-	for _, r := range e.pivIDs {
-		if !e.mask[r] {
-			panic(fmt.Sprintf("conflux: row %d pivoted twice", r))
-		}
-		e.mask[r] = false
-	}
+	e.rows.Retire(e.pivIDs)
 	e.perm = append(e.perm, e.pivIDs...)
 }
 
@@ -290,34 +178,32 @@ func (e *engine) retirePivots() {
 // panel owners (see DESIGN.md: the 1D-parallel solve is volume-equivalent),
 // written back as final L values, and sent to the assigned layer's consumer
 // row (one broadcast per grid row).
-func (e *engine) factorizeA10(t int, stack *mat.Matrix, rows []int) {
+func (e *engine) factorizeA10(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-a10")
 	e.a10, e.a10IDs = nil, nil
 	_, w := e.bc.TileDims(t, t)
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
+	col := e.store.Column(t)
 
-	// Every rank can compute every grid row's active list from the shared
-	// mask; pivots were already retired above.
+	// Every rank holds every grid row's active list; pivots were already
+	// retired above.
 	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.activeRowsInGridRow(gr)
+		grRows := e.rows.Rows(gr)
 		members, rootIdx := a10Members(e.g, gr, ownerCol, lstar)
-		if !contains(members, e.world.Rank()) {
+		if !slices.Contains(members, e.world.Rank()) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
-		buf := e.store.NewBuffer(len(grRows), w)
+		var buf *mat.Matrix
 		if e.g.Rank(gr, ownerCol, 0) == e.world.Rank() {
-			// I am the owner: extract the active rows from the reduced
-			// stack, solve, store the L values, and broadcast.
-			if e.store.Payload() && stack != nil {
-				idx := indexOf(rows)
-				for i, r := range grRows {
-					buf.View(i, 0, 1, w).CopyFrom(stack.View(idx[r], 0, 1, w))
-				}
-			}
+			// I am the owner: the reduced column sits in my tiles. Solve
+			// the active rows, store the L values, and broadcast.
+			buf = e.store.Pack(col, grRows)
 			blas.TrsmUpperRight(e.a00, buf)
-			e.unstackColumnRows(t, grRows, buf)
+			e.store.Unpack(col, grRows, buf)
+		} else {
+			buf = e.store.NewBuffer(len(grRows), w)
 		}
 		if len(grRows) > 0 {
 			comm.BcastMat(rootIdx, buf)
@@ -340,21 +226,4 @@ func a10Members(g grid.Grid, gr, ownerCol, lstar int) (members []int, rootIdx in
 		}
 	}
 	return members, 0
-}
-
-func contains(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOf(rows []int) map[int]int {
-	m := make(map[int]int, len(rows))
-	for i, r := range rows {
-		m[r] = i
-	}
-	return m
 }

@@ -12,6 +12,11 @@
 // housekeeping phases from algorithm-attributed volume: the paper "assume[s]
 // that the input matrix A is already distributed in the block cyclic layout
 // imposed by the algorithm" (§7.4).
+//
+// The package also holds the core the three 2.5D engines (COnfLUX, CANDMC,
+// Cholesky) run on: the active-row index, row-segment pack/unpack, the
+// cross-layer reduction, the CALU tournament and the masked Schur update
+// (core.go).
 package dist
 
 import (

@@ -2,55 +2,12 @@ package lu25d
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
+	"repro/internal/dist"
 	"repro/internal/mat"
 )
-
-// rowLayout concatenates a rank's tile columns tj >= from.
-type rowLayout struct {
-	tjs    []int
-	offs   []int
-	widths []int
-	total  int
-}
-
-func (e *engine) colsFrom(from int) rowLayout {
-	tjs := e.bc.LocalTileCols(e.col, from)
-	cl := rowLayout{tjs: tjs, offs: make([]int, len(tjs)), widths: make([]int, len(tjs))}
-	for i, tj := range tjs {
-		_, w := e.bc.TileDims(tj, tj)
-		cl.offs[i] = cl.total
-		cl.widths[i] = w
-		cl.total += w
-	}
-	return cl
-}
-
-func (e *engine) packRow(r int, cl rowLayout) *mat.Matrix {
-	buf := e.store.NewBuffer(1, cl.total)
-	if e.store.Payload() {
-		ti := r / e.opt.V
-		lr := r - ti*e.opt.V
-		for k, tj := range cl.tjs {
-			buf.View(0, cl.offs[k], 1, cl.widths[k]).
-				CopyFrom(e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]))
-		}
-	}
-	return buf
-}
-
-func (e *engine) unpackRow(r int, cl rowLayout, buf *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	ti := r / e.opt.V
-	lr := r - ti*e.opt.V
-	for k, tj := range cl.tjs {
-		e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]).
-			CopyFrom(buf.View(0, cl.offs[k], 1, cl.widths[k]))
-	}
-}
 
 // planSwaps converts this step's tournament pivots into a sequence of row
 // interchanges that bring pivot i to slot t·v+i, LAPACK style. Every rank
@@ -88,37 +45,32 @@ func planSwaps(pivIDs []int, t, v int) [][2]int {
 // applySwaps performs the physical row interchanges across every tile column
 // and EVERY replication layer — the 2.5D row-swapping cost the paper's row
 // masking avoids. Segments are batched per rank pair (one message per swap
-// per grid column per layer).
+// per grid column per layer). The filled diagonal slots then leave the
+// active-row index.
 func (e *engine) applySwaps(t int) {
 	e.ac.SetPhase(e.opt.Name + ".swap")
 	swaps := planSwaps(e.pivIDs, t, e.opt.V)
 	for _, sw := range swaps {
 		e.perm[sw[0]], e.perm[sw[1]] = e.perm[sw[1]], e.perm[sw[0]]
 	}
-	cl := e.colsFrom(0)
-	if cl.total > 0 {
+	seg := e.store.SegmentsFrom(0)
+	if seg.Total > 0 {
 		for si, sw := range swaps {
-			a, b := sw[0], sw[1]
-			o1 := e.bc.OwnerRow(a / e.opt.V)
-			o2 := e.bc.OwnerRow(b / e.opt.V)
+			a, b := []int{sw[0]}, []int{sw[1]}
+			o1 := e.bc.OwnerRow(sw[0] / e.opt.V)
+			o2 := e.bc.OwnerRow(sw[1] / e.opt.V)
 			tag := 7000 + si
 			switch {
 			case o1 == e.row && o2 == e.row:
 				if e.store.Payload() {
-					ra, rb := e.packRow(a, cl), e.packRow(b, cl)
-					e.unpackRow(a, cl, rb)
-					e.unpackRow(b, cl, ra)
+					ra, rb := e.store.Pack(seg, a), e.store.Pack(seg, b)
+					e.store.Unpack(seg, a, rb)
+					e.store.Unpack(seg, b, ra)
 				}
 			case o1 == e.row:
-				e.colc.SendMat(o2, tag, e.packRow(a, cl))
-				buf := e.store.NewBuffer(1, cl.total)
-				e.colc.RecvMat(o2, tag, buf)
-				e.unpackRow(a, cl, buf)
+				e.exchangeRow(o2, tag, seg, a)
 			case o2 == e.row:
-				e.colc.SendMat(o1, tag, e.packRow(b, cl))
-				buf := e.store.NewBuffer(1, cl.total)
-				e.colc.RecvMat(o1, tag, buf)
-				e.unpackRow(b, cl, buf)
+				e.exchangeRow(o1, tag, seg, b)
 			}
 		}
 	}
@@ -128,19 +80,32 @@ func (e *engine) applySwaps(t int) {
 		w := len(e.pivIDs)
 		e.store.Tile(t, t).View(0, 0, w, w).CopyFrom(e.a00)
 	}
+	e.slots = e.slots[:0]
+	for i := range e.pivIDs {
+		e.slots = append(e.slots, t*e.opt.V+i)
+	}
+	e.rows.Retire(e.slots)
+}
+
+// exchangeRow swaps my copy of row (across seg) with grid row peer's.
+func (e *engine) exchangeRow(peer, tag int, seg dist.Segments, row []int) {
+	e.colc.SendMat(peer, tag, e.store.Pack(seg, row))
+	buf := e.store.NewBuffer(1, seg.Total)
+	e.colc.RecvMat(peer, tag, buf)
+	e.store.Unpack(seg, row, buf)
 }
 
 // factorizeA10 solves the sub-diagonal panel rows against U00 at the layer-0
 // column owners and broadcasts them to the assigned layer's consumer rows.
 func (e *engine) factorizeA10(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-a10")
-	e.a10, e.a10Lo = nil, 0
+	e.a10, e.a10IDs = nil, nil
 	w := len(e.pivIDs)
-	lo := t*e.opt.V + w
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
+	col := e.store.Column(t)
 	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.rowsBelow(gr, lo)
+		grRows := e.rows.Rows(gr)
 		owner := e.g.Rank(gr, ownerCol, 0)
 		members := []int{owner}
 		for y := 0; y < e.g.Pc; y++ {
@@ -148,44 +113,25 @@ func (e *engine) factorizeA10(t int) {
 				members = append(members, r)
 			}
 		}
-		if !memberOf(members, e.world.Rank()) {
+		if !slices.Contains(members, e.world.Rank()) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
-		buf := e.store.NewBuffer(len(grRows), w)
+		var buf *mat.Matrix
 		if owner == e.world.Rank() && len(grRows) > 0 {
-			if e.store.Payload() {
-				for i, r := range grRows {
-					ti := r / e.opt.V
-					buf.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-				}
-			}
+			buf = e.store.Pack(col, grRows)
 			blas.TrsmUpperRight(e.a00, buf)
-			if e.store.Payload() {
-				for i, r := range grRows {
-					ti := r / e.opt.V
-					e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(buf.View(i, 0, 1, w))
-				}
-			}
+			e.store.Unpack(col, grRows, buf)
+		} else {
+			buf = e.store.NewBuffer(len(grRows), w)
 		}
 		if len(grRows) > 0 {
 			comm.BcastMat(0, buf)
 		}
 		if e.layer == lstar && e.row == gr {
-			e.a10, e.a10Lo = buf, lo
+			e.a10, e.a10IDs = buf, grRows
 		}
 	}
-}
-
-func (e *engine) rowsBelow(gr, lo int) []int { return e.rowsInGridRow(gr, lo) }
-
-func memberOf(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // factorizeA01 reduces the (now contiguous, tile row t) pivot rows across
@@ -195,8 +141,8 @@ func (e *engine) factorizeA01(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-a01")
 	e.a01 = nil
 	w := len(e.pivIDs)
-	cl := e.colsFrom(t + 1)
-	if cl.total == 0 {
+	seg := e.store.SegmentsFrom(t + 1)
+	if seg.Total == 0 {
 		return
 	}
 	tr := e.bc.OwnerRow(t)
@@ -204,26 +150,10 @@ func (e *engine) factorizeA01(t int) {
 
 	var solved *mat.Matrix
 	if e.row == tr {
-		stack := e.store.NewBuffer(w, cl.total)
-		if e.store.Payload() {
-			for i := 0; i < w; i++ {
-				r := t*e.opt.V + i
-				stack.View(i, 0, 1, cl.total).CopyFrom(e.packRowCols(r, cl))
-			}
-		}
-		e.fiber.ReduceMatSum(0, stack)
-		if e.layer == 0 {
+		if stack := dist.ReduceRows(e.fiber, e.store, seg, e.slots); stack != nil {
 			blas.TrsmLowerLeft(e.a00, stack, true)
-			if e.store.Payload() {
-				for i := 0; i < w; i++ {
-					e.unpackRow(t*e.opt.V+i, cl, stack.View(i, 0, 1, cl.total))
-				}
-			}
+			e.store.Unpack(seg, e.slots, stack)
 			solved = stack
-		} else if e.store.Payload() {
-			for i := 0; i < w; i++ {
-				e.unpackRow(t*e.opt.V+i, cl, mat.New(1, cl.total))
-			}
 		}
 	}
 
@@ -234,22 +164,18 @@ func (e *engine) factorizeA01(t int) {
 			members = append(members, r)
 		}
 	}
-	if !memberOf(members, e.world.Rank()) {
+	if !slices.Contains(members, e.world.Rank()) {
 		return
 	}
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
 	buf := solved
 	if buf == nil {
-		buf = e.store.NewBuffer(w, cl.total)
+		buf = e.store.NewBuffer(w, seg.Total)
 	}
 	comm.BcastMat(0, buf)
 	if e.layer == lstar {
 		e.a01 = buf
 	}
-}
-
-func (e *engine) packRowCols(r int, cl rowLayout) *mat.Matrix {
-	return e.packRow(r, cl)
 }
 
 // update applies the Schur update into the assigned layer's accumulators.
@@ -258,31 +184,5 @@ func (e *engine) update(t int) {
 	if e.layer != t%e.g.Layers || e.a10 == nil || e.a01 == nil {
 		return
 	}
-	w := len(e.pivIDs)
-	cl := e.colsFrom(t + 1)
-	rows := e.rowsBelow(e.row, e.a10Lo)
-	idx := make(map[int]int, len(rows))
-	for i, r := range rows {
-		idx[r] = i
-	}
-	for _, ti := range e.bc.LocalTileRows(e.row, t) {
-		h, _ := e.bc.TileDims(ti, ti)
-		tileL := e.store.NewBuffer(h, w)
-		any := false
-		for lr := 0; lr < h; lr++ {
-			r := ti*e.opt.V + lr
-			if i, ok := idx[r]; ok {
-				any = true
-				if e.store.Payload() {
-					tileL.View(lr, 0, 1, w).CopyFrom(e.a10.View(i, 0, 1, w))
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		for k, tj := range cl.tjs {
-			blas.Gemm(-1, tileL, e.a01.View(0, cl.offs[k], w, cl.widths[k]), 1, e.store.Tile(ti, tj))
-		}
-	}
+	e.store.UpdateLU(t, e.a10, e.a10IDs, e.a01, e.store.SegmentsFrom(t+1))
 }

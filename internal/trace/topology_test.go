@@ -98,4 +98,3 @@ func TestIngressLinkFIFO(t *testing.T) {
 		t.Fatalf("rank 0 delivery finished at %v, want %v (own idle link)", got, st2+1)
 	}
 }
-
