@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full vet fmt-check apicheck bench-smoke bench-json kernels conformance cover loadtest ci
+.PHONY: all build test test-full vet fmt-check apicheck bench-smoke bench-json topo-gate kernels conformance cover loadtest ci
 
 all: ci
 
@@ -72,12 +72,7 @@ bench-smoke:
 #    committed paper-scale record BENCH_scale.json is never overwritten;
 #    refresh that record deliberately with
 #    `confluxbench -exp perf -scale paper -json BENCH_scale.json`.
-#  - BENCH_topo_run.json: the topology sweep (replication depth × network
-#    model, DESIGN.md §14), compared against the committed small-scale
-#    record BENCH_topo.json. Every number in it is simulated, so benchdiff
-#    compares exactly and -exit makes any drift a hard failure — this is a
-#    determinism gate, not a perf gate. Regenerate the record with
-#    `confluxbench -exp topology -scale small -json BENCH_topo.json`.
+#  - BENCH_topo_run.json: the topology sweep, via `make topo-gate` (below).
 #  - BENCH_kernels_run.json: the local level-3 kernel suite (blocked
 #    GEMM/TRSM/LU panel vs the seed straight loop, DESIGN.md §15),
 #    compared against the committed record BENCH_kernels.json. Rows use
@@ -90,10 +85,20 @@ bench-json:
 	$(GO) run ./cmd/confluxbench -exp smoke -json BENCH_smoke.json
 	$(GO) run ./cmd/confluxbench -exp perf -scale small -json BENCH_scale_run.json
 	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_scale_run.json
-	$(GO) run ./cmd/confluxbench -exp topology -scale small -json BENCH_topo_run.json
-	$(GO) run ./cmd/benchdiff -exit BENCH_topo.json BENCH_topo_run.json
+	$(MAKE) topo-gate
 	$(GO) run ./cmd/confluxbench -exp kernels -json BENCH_kernels_run.json
 	$(GO) run ./cmd/benchdiff -exit BENCH_kernels.json BENCH_kernels_run.json
+
+# Topology exact gate: the topology sweep (replication depth × network
+# model, DESIGN.md §14) written to BENCH_topo_run.json and compared against
+# the committed small-scale record BENCH_topo.json. Every number in it is
+# simulated, so benchdiff compares exactly and -exit makes any drift a hard
+# failure — a determinism gate, not a perf gate. CI runs it in the blocking
+# verify job. Regenerate the record with
+# `confluxbench -exp topology -scale small -json BENCH_topo.json`.
+topo-gate:
+	$(GO) run ./cmd/confluxbench -exp topology -scale small -json BENCH_topo_run.json
+	$(GO) run ./cmd/benchdiff -exit BENCH_topo.json BENCH_topo_run.json
 
 # The kernel micro-benchmark suite with allocation reporting: the Go
 # benchmarks behind the BENCH_kernels.json rows, for interactive tuning.

@@ -29,7 +29,7 @@ import (
 // A list returned by Rows is not mutated by the next Retire: a grid row
 // that loses only leading rows is resliced, and one that loses rows in the
 // middle is rebuilt in a second buffer (which a list from two retires ago
-// may still alias). Engines therefore keep a step's row list across that
+// may still alias). So a caller may hold a step's row list across that
 // step's retire without copying it.
 type RowIndex struct {
 	v, pr  int
